@@ -8,8 +8,9 @@
 // to the reference algorithm, with "t.o." for timeouts and "n.a." when the
 // reference itself timed out.
 //
-// Times are the *simulated cluster* times (critical-path model, see
-// DESIGN.md section 2); datasets are scaled-down versions of the paper's
+// Times are the *simulated cluster* times (critical-path model, see the
+// `src/exec` section of docs/ARCHITECTURE.md); datasets are scaled-down
+// versions of the paper's
 // (pass --scale=N to grow them).
 #pragma once
 

@@ -11,6 +11,7 @@
 
 #include "bench_common.h"
 #include "common/string_util.h"
+#include "skyline/columnar.h"
 
 using namespace sparkline;        // NOLINT
 using namespace sparkline::bench; // NOLINT
@@ -46,71 +47,48 @@ void ExecutorsVsMemory(Session* session, const std::string& table,
               "memory");
 }
 
-// Hook for the round-based parallel incomplete global stage: the incomplete
-// figures above run with the stage parallel (the default), so this table
-// isolates its effect by re-running the incomplete algorithm with
-// sparkline.skyline.incomplete.parallel off (the paper's single-task
-// all-pairs) across the same executor sweep, reporting simulated time.
-void IncompleteParallelAblation(Session* session, const std::string& table,
-                                const std::vector<std::string>& dimensions,
-                                size_t num_tuples, const BenchConfig& config,
-                                const char* figure) {
-  std::vector<std::string> labels;
-  for (int e : kExecutorSteps) labels.push_back(std::to_string(e));
-  const std::vector<std::string> names = {"parallel rounds (default)",
-                                          "single-task all-pairs"};
-  std::vector<std::vector<Cell>> rows(names.size());
-  for (int executors : kExecutorSteps) {
-    SL_CHECK_OK(
-        session->SetConf("sparkline.skyline.incomplete.parallel", "true"));
-    rows[0].push_back(RunCell(session, SkylineSql(table, dimensions, 6, false),
-                              "incomplete", executors, config));
-    SL_CHECK_OK(
-        session->SetConf("sparkline.skyline.incomplete.parallel", "false"));
-    rows[1].push_back(RunCell(session, SkylineSql(table, dimensions, 6, false),
-                              "incomplete", executors, config));
-  }
-  SL_CHECK_OK(
-      session->SetConf("sparkline.skyline.incomplete.parallel", "true"));
-  PrintTables(StrCat(figure, " hook | incomplete global stage: parallel "
-                             "rounds vs single task | dataset: ",
-                     table, " (", num_tuples, " tuples) | dims: 6"),
-              names, labels, rows, 1, "time");
-}
-
-// DominanceMatrix storage is charged to the query's MemoryTracker (PR 4):
-// with the same plan and row accounting, the default columnar-exchange run
-// must report a strictly higher peak than the row-kernel run — the delta is
-// the matrix (keys + bitmaps + dictionaries) becoming visible to memory
-// accounting. On the exchange path the batch reservations stay alive across
-// stages, so they overlap the query's peak moment (input + local output
-// resident) no matter where it falls; row-byte accounting is identical in
-// both runs, so the comparison is deterministic.
+// DominanceMatrix storage is charged to the query's MemoryTracker: the
+// local stage keeps every partition's matrix reserved while the scan output
+// is still charged, so the skyline query's peak must cover the scan output
+// (the peak of the plain scan) plus at least one matrix over the whole
+// table (the partition matrices sum to it, plus per-matrix headers).
+// Zone-map skipping is off so every partition is projected.
 void AssertMatrixMemoryVisible(Session* session, const std::string& table,
                                const std::vector<std::string>& dimensions) {
-  SL_CHECK_OK(session->SetConf("sparkline.skyline.exchange.columnar", "true"));
   SL_CHECK_OK(session->SetConf("sparkline.executors", "3"));
-  const std::string sql = SkylineSql(table, dimensions, 6, true);
-  auto peak_with_columnar = [&](const char* columnar) {
-    SL_CHECK_OK(session->SetConf("sparkline.skyline.columnar", columnar));
+  SL_CHECK_OK(session->SetConf("sparkline.scan.zone_maps", "false"));
+  auto peak_of = [&](const std::string& sql) {
     auto df = session->Sql(sql);
     SL_CHECK(df.ok());
     auto r = df->Collect();
     SL_CHECK(r.ok()) << r.status().ToString();
     return r->metrics.peak_memory_bytes;
   };
-  const int64_t peak_columnar = peak_with_columnar("true");
-  const int64_t peak_row = peak_with_columnar("false");
-  SL_CHECK(peak_columnar > peak_row)
-      << "DominanceMatrix bytes are invisible to the MemoryTracker: columnar "
-      << peak_columnar << " vs row " << peak_row;
-  std::printf("matrix-memory check | %s | columnar peak %lld B > row peak "
-              "%lld B (delta %lld B = tracked matrix storage)\n",
-              table.c_str(), static_cast<long long>(peak_columnar),
-              static_cast<long long>(peak_row),
-              static_cast<long long>(peak_columnar - peak_row));
-  SL_CHECK_OK(session->SetConf("sparkline.skyline.columnar", "true"));
-  SL_CHECK_OK(session->SetConf("sparkline.skyline.exchange.columnar", "true"));
+  auto t = session->catalog()->GetTable(table);
+  SL_CHECK(t.ok());
+  std::vector<skyline::BoundDimension> dims;
+  for (size_t d = 0; d < 6; ++d) {
+    const auto parts = Split(dimensions[d], ' ');
+    const int ordinal = (*t)->schema().IndexOf(parts[0]);
+    SL_CHECK(ordinal >= 0) << parts[0];
+    dims.push_back({static_cast<size_t>(ordinal),
+                    EqualsIgnoreCase(parts[1], "MIN") ? SkylineGoal::kMin
+                                                      : SkylineGoal::kMax});
+  }
+  const int64_t matrix_bytes =
+      skyline::DominanceMatrix::Build((*t)->rows(), dims).MemoryBytes();
+  const int64_t input_peak = peak_of(StrCat("SELECT * FROM ", table));
+  const int64_t skyline_peak = peak_of(SkylineSql(table, dimensions, 6, true));
+  SL_CHECK(skyline_peak >= input_peak + matrix_bytes)
+      << "DominanceMatrix bytes are invisible to the MemoryTracker: skyline "
+      << "peak " << skyline_peak << " < scan peak " << input_peak
+      << " + matrix " << matrix_bytes;
+  std::printf("matrix-memory check | %s | skyline peak %lld B >= scan peak "
+              "%lld B + matrix %lld B\n",
+              table.c_str(), static_cast<long long>(skyline_peak),
+              static_cast<long long>(input_peak),
+              static_cast<long long>(matrix_bytes));
+  SL_CHECK_OK(session->SetConf("sparkline.scan.zone_maps", "true"));
 }
 
 }  // namespace
@@ -133,9 +111,6 @@ int main(int argc, char** argv) {
                     complete->num_rows(), config, "Fig 8");
   ExecutorsVsMemory(&session, "airbnb_incomplete", false, AirbnbDimensions(),
                     incomplete->num_rows(), config, "Fig 8");
-  IncompleteParallelAblation(&session, "airbnb_incomplete",
-                             AirbnbDimensions(), incomplete->num_rows(),
-                             config, "Fig 8");
 
   // Figure 9: store_sales at the 5M scale.
   datagen::StoreSalesOptions sopts;
@@ -151,9 +126,6 @@ int main(int argc, char** argv) {
                     sopts.num_rows, config, "Fig 9");
   ExecutorsVsMemory(&session, "store_sales_5_incomplete", false,
                     StoreSalesDimensions(), sopts.num_rows, config, "Fig 9");
-  IncompleteParallelAblation(&session, "store_sales_5_incomplete",
-                             StoreSalesDimensions(), sopts.num_rows, config,
-                             "Fig 9");
 
   // Figure 10: tuples vs memory at 3 / 5 / 10 executors.
   const std::vector<size_t> sizes = {

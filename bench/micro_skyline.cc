@@ -1,17 +1,14 @@
 // Micro benchmarks (google-benchmark) for the skyline kernels of paper
 // sections 5.5-5.7: dominance tests, Block-Nested-Loop, Sort-Filter-Skyline
-// (the paper's future-work presorting family), the all-pairs incomplete
-// algorithm, and null-bitmap partitioning — across the classic correlated /
-// independent / anti-correlated workloads.
-// The row-kernel vs. columnar-kernel ablation lives here too: every
-// BM_Columnar* benchmark has a row-oriented sibling over the same data, and
-// the dominance-test-throughput counters quantify the projection's payoff
-// (recorded in CHANGES.md).
+// (the paper's future-work presorting family), grid filtering, the
+// all-pairs incomplete algorithm, and null-bitmap partitioning — across the
+// classic correlated / independent / anti-correlated workloads. The
+// dominance-test-throughput counters report tests per second.
 #include <benchmark/benchmark.h>
 
 #include "datagen/datagen.h"
-#include "skyline/algorithms.h"
 #include "skyline/columnar.h"
+#include "skyline/reference.h"
 
 namespace sparkline {
 namespace {
@@ -47,39 +44,17 @@ PointDistribution DistFromArg(int64_t arg) {
   }
 }
 
-void BM_DominanceTest(benchmark::State& state) {
-  const size_t dims = static_cast<size_t>(state.range(0));
-  auto rows = MakeRows(2, dims, PointDistribution::kIndependent);
-  auto bound = MinDims(dims);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(skyline::CompareRows(
-        rows[0], rows[1], bound, skyline::NullSemantics::kComplete));
-  }
-}
-BENCHMARK(BM_DominanceTest)->Arg(2)->Arg(4)->Arg(6)->Arg(8);
-
-void BM_DominanceTestIncomplete(benchmark::State& state) {
-  const size_t dims = static_cast<size_t>(state.range(0));
-  auto rows = MakeRows(2, dims, PointDistribution::kIndependent, 0.3);
-  auto bound = MinDims(dims);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(skyline::CompareRows(
-        rows[0], rows[1], bound, skyline::NullSemantics::kIncomplete));
-  }
-}
-BENCHMARK(BM_DominanceTestIncomplete)->Arg(2)->Arg(6);
-
 // --- scalar vs. explicit-AVX2 compare ablation (ROADMAP: SIMD-accelerate
 // CompareKeySpansComplete). A rotating buffer of key pairs defeats the
 // branch predictor memorizing one outcome.
 std::vector<double> MakeKeyBuffer(size_t pairs, size_t dims) {
   auto rows = MakeRows(2 * pairs, dims, PointDistribution::kAntiCorrelated);
   auto bound = MinDims(dims);
-  auto matrix = skyline::DominanceMatrix::TryBuild(rows, bound);
+  const auto matrix = skyline::DominanceMatrix::Build(rows, bound);
   std::vector<double> keys;
   keys.reserve(2 * pairs * dims);
   for (uint32_t r = 0; r < 2 * pairs; ++r) {
-    const double* k = matrix->row_keys(r);
+    const double* k = matrix.row_keys(r);
     keys.insert(keys.end(), k, k + dims);
   }
   return keys;
@@ -144,10 +119,10 @@ void BM_ColumnarDominanceTest(benchmark::State& state) {
   const size_t dims = static_cast<size_t>(state.range(0));
   auto rows = MakeRows(2, dims, PointDistribution::kIndependent);
   auto bound = MinDims(dims);
-  auto matrix = skyline::DominanceMatrix::TryBuild(rows, bound);
+  const auto matrix = skyline::DominanceMatrix::Build(rows, bound);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        matrix->Compare(0, 1, skyline::NullSemantics::kComplete));
+        matrix.Compare(0, 1, skyline::NullSemantics::kComplete));
   }
 }
 BENCHMARK(BM_ColumnarDominanceTest)->Arg(2)->Arg(4)->Arg(6)->Arg(8);
@@ -176,20 +151,6 @@ void SetThroughput(benchmark::State& state, const skyline::DominanceCounter& c,
   state.SetItemsProcessed(state.iterations() * rows);
 }
 
-void BM_RowBnlStoreSales(benchmark::State& state) {
-  auto rows = MakeStoreSales(static_cast<size_t>(state.range(0)));
-  auto dims = StoreSalesDims();
-  skyline::DominanceCounter counter;
-  skyline::SkylineOptions opts;
-  opts.counter = &counter;
-  for (auto _ : state) {
-    auto result = skyline::BlockNestedLoop(rows, dims, opts);
-    benchmark::DoNotOptimize(result);
-  }
-  SetThroughput(state, counter, state.range(0));
-}
-BENCHMARK(BM_RowBnlStoreSales)->Arg(5000)->Arg(20000);
-
 void BM_ColumnarBnlStoreSales(benchmark::State& state) {
   auto rows = MakeStoreSales(static_cast<size_t>(state.range(0)));
   auto dims = StoreSalesDims();
@@ -204,26 +165,6 @@ void BM_ColumnarBnlStoreSales(benchmark::State& state) {
   SetThroughput(state, counter, state.range(0));
 }
 BENCHMARK(BM_ColumnarBnlStoreSales)->Arg(5000)->Arg(20000);
-
-void BM_BlockNestedLoop(benchmark::State& state) {
-  auto rows = MakeRows(static_cast<size_t>(state.range(0)), 4,
-                       DistFromArg(state.range(1)));
-  auto dims = MinDims(4);
-  skyline::DominanceCounter counter;
-  skyline::SkylineOptions opts;
-  opts.counter = &counter;
-  for (auto _ : state) {
-    auto result = skyline::BlockNestedLoop(rows, dims, opts);
-    benchmark::DoNotOptimize(result);
-  }
-  SetThroughput(state, counter, state.range(0));
-}
-BENCHMARK(BM_BlockNestedLoop)
-    ->Args({2000, 0})
-    ->Args({2000, 1})
-    ->Args({2000, 2})
-    ->Args({10000, 0})
-    ->Args({10000, 1});
 
 void BM_ColumnarBlockNestedLoop(benchmark::State& state) {
   auto rows = MakeRows(static_cast<size_t>(state.range(0)), 4,
@@ -265,7 +206,8 @@ void BM_SortFilterSkyline(benchmark::State& state) {
                        DistFromArg(state.range(1)));
   auto dims = MinDims(4);
   for (auto _ : state) {
-    auto result = skyline::SortFilterSkyline(rows, dims, {});
+    auto result = skyline::ColumnarSkyline(
+        skyline::ColumnarKernel::kSortFilterSkyline, rows, dims, {});
     benchmark::DoNotOptimize(result);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -281,7 +223,8 @@ void BM_GridFilterSkyline(benchmark::State& state) {
                        DistFromArg(state.range(1)));
   auto dims = MinDims(4);
   for (auto _ : state) {
-    auto result = skyline::GridFilterSkyline(rows, dims, {});
+    auto result = skyline::ColumnarSkyline(
+        skyline::ColumnarKernel::kGridFilter, rows, dims, {});
     benchmark::DoNotOptimize(result);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -292,26 +235,13 @@ BENCHMARK(BM_GridFilterSkyline)
     ->Args({10000, 0})
     ->Args({10000, 1});
 
-void BM_AllPairsIncomplete(benchmark::State& state) {
-  auto rows = MakeRows(static_cast<size_t>(state.range(0)), 4,
-                       PointDistribution::kIndependent, 0.25);
-  auto dims = MinDims(4);
-  skyline::SkylineOptions opts;
-  opts.nulls = skyline::NullSemantics::kIncomplete;
-  for (auto _ : state) {
-    auto result = skyline::AllPairsIncomplete(rows, dims, opts);
-    benchmark::DoNotOptimize(result);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_AllPairsIncomplete)->Arg(500)->Arg(1000)->Arg(2000);
-
 void BM_NullBitmapPartitioning(benchmark::State& state) {
   auto rows = MakeRows(static_cast<size_t>(state.range(0)), 6,
                        PointDistribution::kIndependent, 0.2);
-  auto dims = MinDims(6);
+  const auto matrix = skyline::DominanceMatrix::Build(rows, MinDims(6));
+  const std::vector<uint32_t> all = skyline::AllIndices(matrix);
   for (auto _ : state) {
-    auto parts = skyline::PartitionByNullBitmap(rows, dims);
+    auto parts = skyline::PartitionIndicesByNullBitmap(matrix, all);
     benchmark::DoNotOptimize(parts);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -326,7 +256,9 @@ void BM_IncompletePipeline(benchmark::State& state) {
   skyline::SkylineOptions opts;
   opts.nulls = skyline::NullSemantics::kIncomplete;
   for (auto _ : state) {
-    auto result = skyline::ComputeSkyline(rows, dims, opts);
+    auto local = skyline::ColumnarSkyline(
+        skyline::ColumnarKernel::kBlockNestedLoop, rows, dims, opts);
+    auto result = skyline::ColumnarAllPairsSkyline(*local, dims, opts);
     benchmark::DoNotOptimize(result);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));

@@ -10,7 +10,8 @@
 
 #include "api/dataframe.h"
 #include "api/session.h"
-#include "skyline/algorithms.h"
+#include "skyline/columnar.h"
+#include "skyline/reference.h"
 
 using namespace sparkline;  // NOLINT
 namespace sky = sparkline::skyline;
@@ -43,7 +44,7 @@ int main() {
   auto flawed = sky::FlawedGulzarGlobal(tuples, dims);
   sky::SkylineOptions opts;
   opts.nulls = sky::NullSemantics::kIncomplete;
-  auto correct = sky::AllPairsIncomplete(tuples, dims, opts);
+  auto correct = sky::ColumnarAllPairsSkyline(tuples, dims, opts);
   SL_CHECK(correct.ok());
   std::printf("Gulzar et al. [20] (eager deletion): %zu tuple(s) -- WRONG\n",
               flawed.size());

@@ -82,18 +82,6 @@ Status Session::SetConf(const std::string& key, const std::string& value) {
     return Status::Invalid(
         StrCat("unknown skyline kernel '", value, "' (bnl | sfs | grid)"));
   }
-  if (k == "sparkline.skyline.columnar") {
-    SL_ASSIGN_OR_RETURN(config_.skyline_columnar, ParseBool(value));
-    return Status::OK();
-  }
-  if (k == "sparkline.skyline.exchange.columnar") {
-    SL_ASSIGN_OR_RETURN(config_.skyline_columnar_exchange, ParseBool(value));
-    return Status::OK();
-  }
-  if (k == "sparkline.skyline.incomplete.parallel") {
-    SL_ASSIGN_OR_RETURN(config_.skyline_incomplete_parallel, ParseBool(value));
-    return Status::OK();
-  }
   if (k == "sparkline.skyline.broadcast_filter") {
     SL_ASSIGN_OR_RETURN(config_.skyline_broadcast_filter, ParseBool(value));
     return Status::OK();
@@ -363,9 +351,6 @@ Result<PhysicalPlanPtr> Session::PlanPhysical(
   opts.cluster = config_.cluster;
   opts.skyline_strategy = config_.skyline_strategy;
   opts.skyline_kernel = config_.skyline_kernel;
-  opts.skyline_columnar = config_.skyline_columnar;
-  opts.skyline_columnar_exchange = config_.skyline_columnar_exchange;
-  opts.skyline_incomplete_parallel = config_.skyline_incomplete_parallel;
   opts.skyline_broadcast_filter = config_.skyline_broadcast_filter;
   opts.scan_zone_maps = config_.scan_zone_maps;
   opts.skyline_partitioning = config_.skyline_partitioning;

@@ -8,10 +8,10 @@
 // transplants the predecessor's map into the copy-on-write successor and
 // observes only the inserted rows — a min/max merge, never a rebuild.
 //
-// Soundness mirrors DominanceMatrix::TryBuild: a column is poisoned
-// (numeric = false) the moment it sees a non-numeric value, a NaN, or a
-// BIGINT whose magnitude exceeds 2^53 — exactly the shapes whose double
-// projection could flip a comparison. Consumers (zone-map partition
+// Soundness mirrors DominanceMatrix::Build's rank encoding: a column is
+// poisoned (numeric = false) the moment it sees a non-numeric value, a NaN,
+// or a BIGINT whose magnitude exceeds 2^53 — exactly the shapes whose
+// double projection could flip a comparison. Consumers (zone-map partition
 // skipping in LocalSkylineExec) must treat a poisoned column as "no
 // information".
 #pragma once

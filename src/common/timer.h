@@ -4,7 +4,7 @@
 // effect of adding executors. Stage tasks are therefore timed with the
 // per-thread CPU clock; the executor combines task times into a critical-path
 // "simulated cluster time" (max over the partitions of a stage, summed over
-// stages). See DESIGN.md section 2.
+// stages). See the `src/exec` section of docs/ARCHITECTURE.md.
 #pragma once
 
 #include <cstdint>

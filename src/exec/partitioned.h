@@ -2,12 +2,11 @@
 // row partitions (the analog of an RDD's partitions in Spark), optionally
 // carried in columnar-exchange form.
 //
-// Columnar exchange (sparkline.skyline.exchange.columnar): skyline stages
-// can hand their output to the next stage as ColumnarBatch views — a shared
-// immutable DominanceMatrix plus a row-index selection — instead of
-// materialized rows, so downstream skyline stages never re-project. A
-// partition is EITHER rows in partitions[i] OR a batch in batches[i], never
-// both; operators that need rows call EnsureRows() (the row fallback),
+// Columnar exchange: skyline stages hand their output to the next stage as
+// ColumnarBatch views — a shared immutable DominanceMatrix plus a row-index
+// selection — instead of materialized rows, so downstream skyline stages
+// never re-project. A partition is EITHER rows in partitions[i] OR a batch
+// in batches[i], never both; operators that need rows call EnsureRows(),
 // which decodes every batch in place.
 #pragma once
 

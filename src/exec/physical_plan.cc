@@ -432,8 +432,11 @@ size_t AnglePartition(const Row& row,
   }
   const double angle = std::atan2(std::sqrt(rest), scaled(0));
   constexpr double kHalfPi = 1.5707963267948966;
-  size_t bucket = static_cast<size_t>(angle / kHalfPi * static_cast<double>(n));
-  return bucket >= n ? n - 1 : bucket;
+  // Infinite keys scale to NaN (inf / inf); such rows take bucket 0 rather
+  // than an undefined NaN-to-integer conversion.
+  const double pos = angle / kHalfPi * static_cast<double>(n);
+  if (!(pos > 0)) return 0;
+  return pos >= static_cast<double>(n) ? n - 1 : static_cast<size_t>(pos);
 }
 
 }  // namespace exchange_internal
@@ -472,7 +475,7 @@ Result<PartitionedRelation> ExchangeExec::Execute(ExecContext* ctx) const {
     }
     if (all_batches) {
       // `parts` outlives the timed stage: dropping the old backings (the
-      // upstream stage's non-survivor rows) happens where the row pipeline
+      // upstream stage's non-survivor rows) happens where every operator
       // destroys its consumed inputs — outside the critical path.
       std::vector<skyline::ColumnarBatch> parts;
       for (auto& batch : in.batches) {

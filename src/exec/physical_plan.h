@@ -93,12 +93,23 @@ class PhysicalPlan {
   /// on every path — success, error, cancellation.
   Status ChargeOutput(ExecContext* ctx, PartitionedRelation* out) const;
 
-  /// The row fallback for batch-carrying input: decodes every ColumnarBatch
-  /// partition into rows (timed into QueryMetrics::decode_ms). Every
-  /// operator that consumes rows calls this right after executing its
-  /// child; batch-aware operators (the skyline stages and the gather
-  /// exchange) skip it on their columnar paths.
+  /// Decodes every ColumnarBatch partition of batch-carrying input into
+  /// rows (timed into QueryMetrics::decode_ms). Every operator that
+  /// consumes rows calls this right after executing its child;
+  /// batch-aware operators (the skyline stages and the gather exchange)
+  /// skip it when they can use the batches.
   void DecodeInput(ExecContext* ctx, PartitionedRelation* in) const;
+
+  /// The single gathered partition of a global skyline stage as one batch
+  /// projected for `dims`: the batch the gather exchange shipped when it
+  /// was projected for these dimensions (and, with `ascending_view`, its
+  /// view is ascending in matrix index), recorded as a matrix reuse;
+  /// otherwise the decoded rows, projected once in a "<label> [project]"
+  /// stage. Defined in skyline_ops.cc.
+  Result<skyline::ColumnarBatch> GatheredBatch(
+      ExecContext* ctx, PartitionedRelation* in,
+      const std::vector<skyline::BoundDimension>& dims,
+      bool ascending_view) const;
 
   std::vector<Attribute> output_;
   std::vector<PhysicalPlanPtr> children_;
@@ -234,7 +245,7 @@ size_t AnglePartition(const Row& row,
 /// ships the matrix blocks instead of rows: the batches are concatenated
 /// into one compact batch (key/bitmap copy + dictionary remap, no
 /// re-projection from Values) and the single output partition stays
-/// columnar. Mixed or row-mode input takes the classic row path.
+/// columnar. Mixed or row input gathers rows.
 class ExchangeExec : public PhysicalPlan {
  public:
   ExchangeExec(ExchangeMode mode, std::vector<skyline::BoundDimension> dims,
@@ -370,12 +381,11 @@ class NestedLoopJoinExec : public PhysicalPlan {
 /// complete and the incomplete algorithm (the latter after a null-bitmap
 /// exchange, which makes every partition bitmap-uniform).
 ///
-/// With `columnar_exchange` on, each partition is projected into a
-/// DominanceMatrix exactly once and the output is a ColumnarBatch survivor
-/// view over that matrix — the projection every downstream skyline stage
-/// reuses. Partitions whose shape TryBuild refuses fall back to rows
-/// individually. SFS runs tag their output views score-sorted so the global
-/// stage can inherit the sort order.
+/// Each partition is projected into a DominanceMatrix exactly once and the
+/// output is a ColumnarBatch survivor view over that matrix — the
+/// projection every downstream skyline stage reuses. SFS runs tag their
+/// output views score-sorted so the global stage can inherit the sort
+/// order.
 ///
 /// With `zone_map_skipping` (sparkline.scan.zone_maps) and zone maps on the
 /// input relation, a partition whose per-dim *best corner* is strictly
@@ -389,7 +399,6 @@ class LocalSkylineExec : public PhysicalPlan {
   LocalSkylineExec(std::vector<skyline::BoundDimension> dims, bool distinct,
                    skyline::NullSemantics nulls, PhysicalPlanPtr child,
                    SkylineKernel kernel = SkylineKernel::kBlockNestedLoop,
-                   bool columnar = true, bool columnar_exchange = true,
                    bool sfs_early_stop = true,
                    skyline::SfsSortKey sfs_sort_key = skyline::SfsSortKey::kSum,
                    bool zone_map_skipping = false);
@@ -402,8 +411,6 @@ class LocalSkylineExec : public PhysicalPlan {
   bool distinct_;
   skyline::NullSemantics nulls_;
   SkylineKernel kernel_;
-  bool columnar_;
-  bool columnar_exchange_;
   bool sfs_early_stop_;
   skyline::SfsSortKey sfs_sort_key_;
   bool zone_map_skipping_;
@@ -458,13 +465,12 @@ class BroadcastFilterExec : public PhysicalPlan {
 /// keeping the critical-path time model intact. The two stages are
 /// recorded under "<label> [partial]" / "<label> [merge]".
 ///
-/// With `columnar_exchange` on, a batch arriving from the gather exchange
-/// is consumed directly: the partial stage runs over contiguous slices of
-/// the batch's index view and the merge over the concatenated survivor
-/// views — no stage re-projects (the "[partial]"/"[merge]" TryBuild the
-/// row path pays is gone, visible in QueryMetrics::matrix_builds). When the
-/// input arrives as rows (non-distributed plans), the matrix is built once
-/// in a "<label> [project]" stage and shared the same way. Score-sorted
+/// A batch arriving from the gather exchange is consumed directly: the
+/// partial stage runs over contiguous slices of the batch's index view and
+/// the merge over the concatenated survivor views — no stage re-projects.
+/// When the input arrives as rows (non-distributed plans, nested
+/// skylines), the matrix is built once in a "<label> [project]" stage and
+/// shared the same way (see PhysicalPlan::GatheredBatch). Score-sorted
 /// batches from upstream SFS stages skip the merge re-sort entirely
 /// (inherited order + ColumnarSortFilterSkylinePresorted) and additionally
 /// inherit the tightest per-partition SaLSa stop bound the batch carries,
@@ -475,7 +481,6 @@ class GlobalSkylineExec : public PhysicalPlan {
   GlobalSkylineExec(std::vector<skyline::BoundDimension> dims, bool distinct,
                     PhysicalPlanPtr child,
                     SkylineKernel kernel = SkylineKernel::kBlockNestedLoop,
-                    bool columnar = true, bool columnar_exchange = true,
                     bool sfs_early_stop = true,
                     skyline::SfsSortKey sfs_sort_key = skyline::SfsSortKey::kSum);
   std::string label() const override { return "GlobalSkyline [complete]"; }
@@ -483,14 +488,9 @@ class GlobalSkylineExec : public PhysicalPlan {
   Result<PartitionedRelation> Execute(ExecContext* ctx) const override;
 
  private:
-  Result<PartitionedRelation> ExecuteColumnar(
-      ExecContext* ctx, skyline::ColumnarBatch batch) const;
-
   std::vector<skyline::BoundDimension> dims_;
   bool distinct_;
   SkylineKernel kernel_;
-  bool columnar_;
-  bool columnar_exchange_;
   bool sfs_early_stop_;
   skyline::SfsSortKey sfs_sort_key_;
 };
@@ -502,7 +502,7 @@ class GlobalSkylineExec : public PhysicalPlan {
 /// partial-merge scheme (prune chunk-dominated tuples, merge survivors) is
 /// unsound here: a tuple eliminated inside its chunk can still be the only
 /// witness against another chunk's survivor. With more than one executor
-/// (and `parallel` on) the gathered input is instead split into
+/// the gathered input is instead split into
 /// executor-count chunks and run through round-based all-pairs validation:
 ///
 ///   [candidates]  each chunk runs the all-pairs deferred-deletion scan
@@ -516,34 +516,26 @@ class GlobalSkylineExec : public PhysicalPlan {
 /// After the rounds every candidate has been compared against every other
 /// input tuple, so the result equals the single-task all-pairs algorithm
 /// exactly. Stage times are recorded under "<label> [candidates]" /
-/// "[validate]" / "[finalize]"; the single-executor (or `parallel` = off)
-/// path keeps the bare label.
+/// "[validate]" / "[finalize]"; the single-executor path keeps the bare
+/// label.
 ///
-/// With `columnar_exchange` on, a batch from the gather exchange supplies
-/// the shared matrix (and its per-row null bitmaps) for every stage — the
-/// "[candidates]" projection pass of the row path disappears — and the
-/// output stays a batch view. Matrix row order equals gathered input order
+/// A batch from the gather exchange supplies the shared matrix (and its
+/// per-row null bitmaps) for every stage, and the output stays a batch
+/// view. Matrix row order equals gathered input order
 /// (ColumnarBatch::Concat guarantees it), which is the DISTINCT tie-break
-/// the validation rounds need.
+/// the validation rounds need; row input is projected once in a
+/// "<label> [project]" stage.
 class GlobalSkylineIncompleteExec : public PhysicalPlan {
  public:
   GlobalSkylineIncompleteExec(std::vector<skyline::BoundDimension> dims,
-                              bool distinct, PhysicalPlanPtr child,
-                              bool columnar = true, bool parallel = true,
-                              bool columnar_exchange = true);
+                              bool distinct, PhysicalPlanPtr child);
   std::string label() const override { return "GlobalSkyline [incomplete]"; }
   const char* failpoint_site() const override { return "exec.global_task"; }
   Result<PartitionedRelation> Execute(ExecContext* ctx) const override;
 
  private:
-  Result<PartitionedRelation> ExecuteColumnar(
-      ExecContext* ctx, skyline::ColumnarBatch batch) const;
-
   std::vector<skyline::BoundDimension> dims_;
   bool distinct_;
-  bool columnar_;
-  bool parallel_;
-  bool columnar_exchange_;
 };
 
 }  // namespace sparkline

@@ -519,11 +519,9 @@ Result<PhysicalPlanPtr> PhysicalPlanner::PlanSkyline(
         local_input = std::make_shared<ExchangeExec>(ExchangeMode::kAngle,
                                                      dims, local_input);
       }
-      const bool exchange_columnar = options_.skyline_columnar_exchange;
       PhysicalPlanPtr local = std::make_shared<LocalSkylineExec>(
           dims, sky.distinct(), skyline::NullSemantics::kComplete,
           std::move(local_input), options_.skyline_kernel,
-          options_.skyline_columnar, exchange_columnar,
           options_.sfs_early_stop, options_.sfs_sort_key,
           options_.scan_zone_maps);
       if (options_.skyline_broadcast_filter) {
@@ -534,32 +532,27 @@ Result<PhysicalPlanPtr> PhysicalPlanner::PlanSkyline(
       }
       result = std::make_shared<GlobalSkylineExec>(
           dims, sky.distinct(), EnsureSinglePartition(std::move(local)),
-          options_.skyline_kernel, options_.skyline_columnar,
-          exchange_columnar, options_.sfs_early_stop, options_.sfs_sort_key);
+          options_.skyline_kernel, options_.sfs_early_stop,
+          options_.sfs_sort_key);
       break;
     }
     case SkylineStrategy::kNonDistributedComplete: {
       result = std::make_shared<GlobalSkylineExec>(
           dims, sky.distinct(), EnsureSinglePartition(std::move(input)),
-          options_.skyline_kernel, options_.skyline_columnar,
-          options_.skyline_columnar_exchange, options_.sfs_early_stop,
+          options_.skyline_kernel, options_.sfs_early_stop,
           options_.sfs_sort_key);
       break;
     }
     case SkylineStrategy::kDistributedIncomplete: {
       // Null-bitmap partitioning makes each partition bitmap-uniform, so the
       // BNL local pass stays correct despite missing values (section 5.7).
-      const bool exchange_columnar = options_.skyline_columnar_exchange;
       PhysicalPlanPtr exchange = std::make_shared<ExchangeExec>(
           ExchangeMode::kNullBitmapHash, dims, std::move(input));
       PhysicalPlanPtr local = std::make_shared<LocalSkylineExec>(
           dims, sky.distinct(), skyline::NullSemantics::kIncomplete,
-          std::move(exchange), SkylineKernel::kBlockNestedLoop,
-          options_.skyline_columnar, exchange_columnar);
+          std::move(exchange), SkylineKernel::kBlockNestedLoop);
       result = std::make_shared<GlobalSkylineIncompleteExec>(
-          dims, sky.distinct(), EnsureSinglePartition(std::move(local)),
-          options_.skyline_columnar, options_.skyline_incomplete_parallel,
-          exchange_columnar);
+          dims, sky.distinct(), EnsureSinglePartition(std::move(local)));
       break;
     }
     case SkylineStrategy::kAuto:

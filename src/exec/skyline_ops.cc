@@ -10,23 +10,22 @@
 //                           -> Exchange[AllTuples]
 //                           -> GlobalSkylineIncompleteExec
 //
-// Dominance tests run through the columnar fast path by default: each
-// partition is projected once into a DominanceMatrix (skyline/columnar.h)
-// and the index-based kernels run over it, materializing rows only for the
-// survivors. Unsupported shapes (and sparkline.skyline.columnar = false)
-// take the original row-oriented kernels.
-//
-// Columnar exchange (sparkline.skyline.exchange.columnar, default on): the
-// stages exchange ColumnarBatch views instead of materialized rows. The
+// Every dominance test runs over a DominanceMatrix (skyline/columnar.h),
+// and each operator has one path: reuse the ColumnarBatch its input
+// shipped, or project its row input once, then run the index kernels. The
 // local stage projects each partition exactly once; the gather exchange
 // concatenates the matrix blocks; the global stages slice and merge index
 // views over the shared matrix; rows are decoded only at the plan root (or
-// by the first non-skyline consumer). QueryMetrics::matrix_builds /
+// by the first non-skyline consumer). The projection is exact for every
+// input the analyzer accepts: a column without an exact double key
+// (VARCHAR, BIGINT beyond ±2^53, NaN) is rank-encoded in CompareValues
+// order, where NaN is the greatest double. QueryMetrics::matrix_builds /
 // matrix_reuses record which stages projected vs. reused.
 #include <algorithm>
-#include <iterator>
 #include <limits>
 #include <memory>
+#include <optional>
+#include <string>
 
 #include "common/logging.h"
 #include "common/metrics.h"
@@ -50,50 +49,18 @@ skyline::ColumnarKernel ToColumnarKernel(SkylineKernel kernel) {
   return skyline::ColumnarKernel::kBlockNestedLoop;
 }
 
-/// Runs one partition through the configured kernel. Complete semantics
-/// dispatch the kernel directly; incomplete semantics compute one BNL per
-/// bitmap-uniform group (the local-stage contract of paper section 5.7 —
-/// the exchange routes equal bitmaps together, but distinct bitmaps may
-/// share an executor, so sub-grouping here stays necessary).
-Result<std::vector<Row>> RunKernel(SkylineKernel kernel,
-                                   const std::vector<Row>& rows,
-                                   const std::vector<skyline::BoundDimension>& dims,
-                                   const skyline::SkylineOptions& options,
-                                   bool columnar) {
-  if (columnar) {
-    // ColumnarSkyline handles both semantics and falls back to the row
-    // kernels internally when the shape is unsupported.
-    return skyline::ColumnarSkyline(ToColumnarKernel(kernel), rows, dims,
-                                    options);
-  }
-  if (options.nulls == skyline::NullSemantics::kIncomplete) {
-    return skyline::BitmapGroupedBnl(rows, dims, options);
-  }
-  if (kernel == SkylineKernel::kSortFilterSkyline) {
-    return skyline::SortFilterSkyline(rows, dims, options);
-  }
-  if (kernel == SkylineKernel::kGridFilter) {
-    return skyline::GridFilterSkyline(rows, dims, options);
-  }
-  return skyline::BlockNestedLoop(rows, dims, options);
-}
-
-/// RunKernel with per-stage projection accounting: matrix builds inside
-/// ColumnarSkyline are counted under `stage_label` and the matrix bytes are
-/// charged to the query's MemoryTracker for the duration of the call. This
-/// is what makes the build-per-stage cost of the non-exchange path visible
-/// in QueryMetrics::matrix_builds.
-Result<std::vector<Row>> RunKernelCounted(
-    ExecContext* ctx, const std::string& stage_label, SkylineKernel kernel,
-    const std::vector<Row>& rows,
-    const std::vector<skyline::BoundDimension>& dims,
-    skyline::SkylineOptions options, bool columnar) {
-  std::atomic<int64_t> builds{0};
-  options.memory = ctx->memory();
-  options.matrix_builds = &builds;
-  auto result = RunKernel(kernel, rows, dims, options, columnar);
-  if (builds.load() > 0) ctx->AddMatrixBuilds(stage_label, builds.load());
-  return result;
+/// Projects `rows` once into a batch for `dims`, charging the matrix to the
+/// query's MemoryTracker and recording the build under `stage_label`.
+skyline::ColumnarBatch ProjectCounted(
+    ExecContext* ctx, const std::string& stage_label,
+    std::shared_ptr<std::vector<Row>> rows,
+    const std::vector<skyline::BoundDimension>& dims) {
+  StopWatch project;
+  skyline::ColumnarBatch batch =
+      skyline::ColumnarBatch::Project(std::move(rows), dims, ctx->memory());
+  ctx->AddProjectionMs(project.ElapsedMillis());
+  ctx->AddMatrixBuilds(stage_label, 1);
+  return batch;
 }
 
 /// Balanced contiguous chunk bounds: sizes differ by at most one, so no
@@ -163,7 +130,6 @@ bool CornerDominates(const std::vector<double>& worst,
 LocalSkylineExec::LocalSkylineExec(std::vector<skyline::BoundDimension> dims,
                                    bool distinct, skyline::NullSemantics nulls,
                                    PhysicalPlanPtr child, SkylineKernel kernel,
-                                   bool columnar, bool columnar_exchange,
                                    bool sfs_early_stop,
                                    skyline::SfsSortKey sfs_sort_key,
                                    bool zone_map_skipping)
@@ -172,8 +138,6 @@ LocalSkylineExec::LocalSkylineExec(std::vector<skyline::BoundDimension> dims,
       distinct_(distinct),
       nulls_(nulls),
       kernel_(kernel),
-      columnar_(columnar),
-      columnar_exchange_(columnar_exchange),
       sfs_early_stop_(sfs_early_stop),
       sfs_sort_key_(sfs_sort_key),
       zone_map_skipping_(zone_map_skipping) {}
@@ -206,12 +170,11 @@ Result<PartitionedRelation> LocalSkylineExec::Execute(ExecContext* ctx) const {
   options.early_stop = ctx->early_stop();
 
   const size_t n = in.partitions.size();
-  const bool emit_batches = columnar_ && columnar_exchange_;
 
   PartitionedRelation out;
   out.attrs = output_;
   out.partitions.assign(n, {});
-  if (emit_batches) out.batches.assign(n, std::nullopt);
+  out.batches.assign(n, std::nullopt);
 
   // --- Phase-two pruning: zone-map partition skipping -----------------------
   // Drop whole partitions before projection when another partition's zone
@@ -277,50 +240,28 @@ Result<PartitionedRelation> LocalSkylineExec::Execute(ExecContext* ctx) const {
       // the gather's all-batches columnar path survives.
       in.partitions[i].clear();
     }
-    if (emit_batches) {
-      // Project this partition exactly once; every downstream skyline stage
-      // reuses the matrix through the batch.
-      auto rows =
-          std::make_shared<std::vector<Row>>(std::move(in.partitions[i]));
-      StopWatch project;
-      std::optional<skyline::ColumnarBatch> batch =
-          skyline::ColumnarBatch::Project(rows, dims_, ctx->memory());
-      if (batch.has_value()) {
-        ctx->AddProjectionMs(project.ElapsedMillis());
-        ctx->AddMatrixBuilds(label(), 1);
-        skyline::SkylineOptions opts = options;
-        opts.memory = ctx->memory();
-        SL_ASSIGN_OR_RETURN(
-            std::vector<uint32_t> survivors,
-            skyline::RunColumnarKernel(ToColumnarKernel(kernel_),
-                                       batch->matrix(), batch->indices(),
-                                       opts));
-        // SFS leaves its window in sort-key order; tag the view so the
-        // global stage can inherit the sort instead of re-sorting, and
-        // attach this partition's SaLSa stop bound (the tightest
-        // max-coordinate over its skyline) so the merge can inherit it too.
-        const bool sorted =
-            kernel_ == SkylineKernel::kSortFilterSkyline &&
-            skyline::SfsFastPathApplicable(batch->matrix(), opts);
-        const double stop_bound =
-            sorted && sfs_early_stop_
-                ? skyline::ComputeStopBound(batch->matrix(), survivors)
-                : std::numeric_limits<double>::infinity();
-        out.batches[i] = batch->WithSelection(std::move(survivors), sorted,
-                                              sfs_sort_key_, stop_bound);
-        return Status::OK();
-      }
-      // Shape refused by TryBuild: this partition stays on the row path
-      // (columnar=false — a second TryBuild would just fail again).
-      SL_ASSIGN_OR_RETURN(out.partitions[i],
-                          RunKernelCounted(ctx, label(), kernel_, *rows, dims_,
-                                           options, /*columnar=*/false));
-      return Status::OK();
-    }
-    SL_ASSIGN_OR_RETURN(out.partitions[i],
-                        RunKernelCounted(ctx, label(), kernel_,
-                                         in.partitions[i], dims_, options,
-                                         columnar_));
+    // Project this partition exactly once; every downstream skyline stage
+    // reuses the matrix through the batch.
+    const skyline::ColumnarBatch batch = ProjectCounted(
+        ctx, label(),
+        std::make_shared<std::vector<Row>>(std::move(in.partitions[i])),
+        dims_);
+    SL_ASSIGN_OR_RETURN(
+        std::vector<uint32_t> survivors,
+        skyline::RunColumnarKernel(ToColumnarKernel(kernel_), batch.matrix(),
+                                   batch.indices(), options));
+    // SFS leaves its window in sort-key order; tag the view so the global
+    // stage can inherit the sort instead of re-sorting, and attach this
+    // partition's SaLSa stop bound (the tightest max-coordinate over its
+    // skyline) so the merge can inherit it too.
+    const bool sorted = kernel_ == SkylineKernel::kSortFilterSkyline &&
+                        skyline::SfsFastPathApplicable(batch.matrix(), options);
+    const double stop_bound =
+        sorted && sfs_early_stop_
+            ? skyline::ComputeStopBound(batch.matrix(), survivors)
+            : std::numeric_limits<double>::infinity();
+    out.batches[i] = batch.WithSelection(std::move(survivors), sorted,
+                                         sfs_sort_key_, stop_bound);
     return Status::OK();
   }));
   SL_RETURN_NOT_OK(ChargeOutput(ctx, &out));
@@ -507,32 +448,64 @@ Result<PartitionedRelation> BroadcastFilterExec::Execute(
   return out;
 }
 
-// --- GlobalSkylineExec ------------------------------------------------------
+// --- global stages ----------------------------------------------------------
+
+Result<skyline::ColumnarBatch> PhysicalPlan::GatheredBatch(
+    ExecContext* ctx, PartitionedRelation* in,
+    const std::vector<skyline::BoundDimension>& dims,
+    bool ascending_view) const {
+  // Reuse the batch the gather exchange shipped when it was projected for
+  // these dimensions (a nested skyline's output feeding this one directly
+  // encodes the wrong columns) and, where the caller needs it, its view is
+  // ascending in matrix index. ColumnarBatch::Concat always produces an
+  // identity view, so the is_sorted scan is an O(n) insurance premium
+  // against a plan shape that bypasses it.
+  if (in->batches.size() == 1 && in->batches[0].has_value() &&
+      in->batches[0]->ProjectedFor(dims) &&
+      (!ascending_view || std::is_sorted(in->batches[0]->indices().begin(),
+                                         in->batches[0]->indices().end()))) {
+    ctx->AddMatrixReuse(label());
+    skyline::ColumnarBatch batch = std::move(*in->batches[0]);
+    return batch;
+  }
+  // Row input (non-distributed plans, nested skylines): project once in a
+  // dedicated stage and share the matrix across every later stage exactly
+  // as if the batch had arrived from upstream.
+  DecodeInput(ctx, in);
+  auto rows = std::make_shared<std::vector<Row>>(std::move(*in).Flatten());
+  const std::string project_label = StrCat(label(), " [project]");
+  std::optional<skyline::ColumnarBatch> batch;
+  SL_RETURN_NOT_OK(RunStage(ctx, project_label, 1, [&](size_t) -> Status {
+    batch = ProjectCounted(ctx, project_label, rows, dims);
+    return Status::OK();
+  }));
+  return *std::move(batch);
+}
 
 GlobalSkylineExec::GlobalSkylineExec(std::vector<skyline::BoundDimension> dims,
                                      bool distinct, PhysicalPlanPtr child,
-                                     SkylineKernel kernel, bool columnar,
-                                     bool columnar_exchange,
-                                     bool sfs_early_stop,
+                                     SkylineKernel kernel, bool sfs_early_stop,
                                      skyline::SfsSortKey sfs_sort_key)
     : PhysicalPlan(child->output(), {child}),
       dims_(std::move(dims)),
       distinct_(distinct),
       kernel_(kernel),
-      columnar_(columnar),
-      columnar_exchange_(columnar_exchange),
       sfs_early_stop_(sfs_early_stop),
       sfs_sort_key_(sfs_sort_key) {}
 
-Result<PartitionedRelation> GlobalSkylineExec::ExecuteColumnar(
-    ExecContext* ctx, skyline::ColumnarBatch batch) const {
+Result<PartitionedRelation> GlobalSkylineExec::Execute(ExecContext* ctx) const {
+  SL_ASSIGN_OR_RETURN(PartitionedRelation in, children_[0]->Execute(ctx));
+  // `in` keeps its charge until this function returns, so the gathered
+  // input stays accounted while the kernels run.
+  SL_ASSIGN_OR_RETURN(skyline::ColumnarBatch batch,
+                      GatheredBatch(ctx, &in, dims_, /*ascending_view=*/false));
+
   skyline::SkylineOptions options;
   options.distinct = distinct_;
   options.nulls = skyline::NullSemantics::kComplete;
   options.counter = ctx->merge_dominance();
   options.deadline_nanos = ctx->deadline_nanos();
   options.cancel = ctx->cancel_token();
-  options.memory = ctx->memory();
   options.sfs_early_stop = sfs_early_stop_;
   options.sfs_sort_key = sfs_sort_key_;
   options.early_stop = ctx->early_stop();
@@ -577,8 +550,7 @@ Result<PartitionedRelation> GlobalSkylineExec::ExecuteColumnar(
   const size_t num_executors =
       static_cast<size_t>(std::max(1, ctx->config().num_executors));
   if (num_executors <= 1 || view.size() < 2) {
-    // Single executor: the classic single-task global pass, minus the
-    // projection it used to pay.
+    // Single executor: the classic single-task global pass.
     std::vector<uint32_t> survivors;
     SL_RETURN_NOT_OK(RunStage(ctx, 1, [&](size_t) -> Status {
       SL_ASSIGN_OR_RETURN(survivors, run_over(view));
@@ -591,8 +563,11 @@ Result<PartitionedRelation> GlobalSkylineExec::ExecuteColumnar(
     return out;
   }
 
-  // Parallel partial-merge over index slices of the shared matrix: no chunk
-  // materializes rows, no stage re-projects.
+  // Parallel partial-merge global skyline over index slices of the shared
+  // matrix: executor-count chunks compute their skylines concurrently, then
+  // one task merges the partial windows. Correct because complete dominance
+  // is transitive: a tuple dominated in its chunk is also dominated in the
+  // full input, so chunk pruning never removes a global skyline point.
   const size_t chunks = std::min(num_executors, view.size());
   const std::vector<size_t> bounds = ChunkBounds(view.size(), chunks);
   std::vector<std::vector<uint32_t>> partials(chunks);
@@ -635,144 +610,30 @@ Result<PartitionedRelation> GlobalSkylineExec::ExecuteColumnar(
   return out;
 }
 
-Result<PartitionedRelation> GlobalSkylineExec::Execute(ExecContext* ctx) const {
-  SL_ASSIGN_OR_RETURN(PartitionedRelation in, children_[0]->Execute(ctx));
-
-  // Columnar exchange: consume the gathered batch straight off the shuffle;
-  // the matrix was built upstream and is reused as-is. A batch projected
-  // for different dimensions (a nested skyline's output feeding this one
-  // directly) encodes the wrong columns and must decode instead.
-  // `in` keeps its charge until this function returns, so the gathered
-  // input stays accounted while the kernels run.
-  if (columnar_ && columnar_exchange_ && in.batches.size() == 1 &&
-      in.batches[0].has_value() && in.batches[0]->ProjectedFor(dims_)) {
-    ctx->AddMatrixReuse(label());
-    skyline::ColumnarBatch batch = std::move(*in.batches[0]);
-    return ExecuteColumnar(ctx, std::move(batch));
-  }
-
-  DecodeInput(ctx, &in);
-  // AllTuples distribution: everything on one executor.
-  std::vector<Row> rows = std::move(in).Flatten();
-
-  // Row input with the exchange on (non-distributed plans): project once in
-  // a dedicated stage and share the matrix across partial/merge exactly as
-  // if the batch had arrived from upstream.
-  if (columnar_ && columnar_exchange_ && !rows.empty()) {
-    auto shared_rows = std::make_shared<std::vector<Row>>(std::move(rows));
-    const std::string project_label = StrCat(label(), " [project]");
-    std::optional<skyline::ColumnarBatch> batch;
-    SL_RETURN_NOT_OK(RunStage(ctx, project_label, 1, [&](size_t) -> Status {
-      StopWatch project;
-      batch = skyline::ColumnarBatch::Project(shared_rows, dims_,
-                                              ctx->memory());
-      if (batch.has_value()) {
-        ctx->AddProjectionMs(project.ElapsedMillis());
-        ctx->AddMatrixBuilds(project_label, 1);
-      }
-      return Status::OK();
-    }));
-    if (batch.has_value()) {
-      return ExecuteColumnar(ctx, std::move(*batch));
-    }
-    rows = std::move(*shared_rows);  // shape refused: back to the row path
-  }
-
-  skyline::SkylineOptions options;
-  options.distinct = distinct_;
-  options.nulls = skyline::NullSemantics::kComplete;
-  options.counter = ctx->merge_dominance();
-  options.deadline_nanos = ctx->deadline_nanos();
-  options.cancel = ctx->cancel_token();
-  options.sfs_early_stop = sfs_early_stop_;
-  options.sfs_sort_key = sfs_sort_key_;
-  options.early_stop = ctx->early_stop();
-
-  PartitionedRelation out;
-  out.attrs = output_;
-  out.partitions.emplace_back();
-
-  const size_t num_executors =
-      static_cast<size_t>(std::max(1, ctx->config().num_executors));
-  if (num_executors <= 1 || rows.size() < 2) {
-    // Single executor: the classic single-task global pass.
-    SL_RETURN_NOT_OK(RunStage(ctx, 1, [&](size_t) -> Status {
-      SL_ASSIGN_OR_RETURN(out.partitions[0],
-                          RunKernelCounted(ctx, label(), kernel_, rows, dims_,
-                                           options, columnar_));
-      return Status::OK();
-    }));
-    SL_RETURN_NOT_OK(ChargeOutput(ctx, &out));
-    return out;
-  }
-
-  // Parallel partial-merge global skyline: split the gathered rows into
-  // executor-count chunks, compute chunk skylines concurrently, then merge
-  // the partial windows in one BNL pass. Correct because complete dominance
-  // is transitive: a tuple dominated in its chunk is also dominated in the
-  // full input, so chunk pruning never removes a global skyline point.
-  const size_t chunks = std::min(num_executors, rows.size());
-  const std::vector<size_t> bounds = ChunkBounds(rows.size(), chunks);
-  std::vector<std::vector<Row>> chunk_rows(chunks);
-  for (size_t i = 0; i < chunks; ++i) {
-    chunk_rows[i].assign(std::make_move_iterator(rows.begin() + bounds[i]),
-                         std::make_move_iterator(rows.begin() + bounds[i + 1]));
-  }
-  rows.clear();
-
-  std::vector<std::vector<Row>> partials(chunks);
-  SL_RETURN_NOT_OK(RunStage(
-      ctx, StrCat(label(), " [partial]"), chunks, [&](size_t i) -> Status {
-        SL_ASSIGN_OR_RETURN(
-            partials[i],
-            RunKernelCounted(ctx, StrCat(label(), " [partial]"), kernel_,
-                             chunk_rows[i], dims_, options, columnar_));
-        return Status::OK();
-      }));
-
-  std::vector<Row> merge_input;
-  for (auto& p : partials) {
-    for (auto& r : p) merge_input.push_back(std::move(r));
-  }
-  SL_RETURN_NOT_OK(RunStage(
-      ctx, StrCat(label(), " [merge]"), 1, [&](size_t) -> Status {
-        SL_ASSIGN_OR_RETURN(
-            out.partitions[0],
-            RunKernelCounted(ctx, StrCat(label(), " [merge]"),
-                             SkylineKernel::kBlockNestedLoop, merge_input,
-                             dims_, options, columnar_));
-        return Status::OK();
-      }));
-  SL_RETURN_NOT_OK(ChargeOutput(ctx, &out));
-  return out;
-}
-
-// --- GlobalSkylineIncompleteExec --------------------------------------------
-
 GlobalSkylineIncompleteExec::GlobalSkylineIncompleteExec(
     std::vector<skyline::BoundDimension> dims, bool distinct,
-    PhysicalPlanPtr child, bool columnar, bool parallel, bool columnar_exchange)
+    PhysicalPlanPtr child)
     : PhysicalPlan(child->output(), {child}),
       dims_(std::move(dims)),
-      distinct_(distinct),
-      columnar_(columnar),
-      parallel_(parallel),
-      columnar_exchange_(columnar_exchange) {}
+      distinct_(distinct) {}
 
-Result<PartitionedRelation> GlobalSkylineIncompleteExec::ExecuteColumnar(
-    ExecContext* ctx, skyline::ColumnarBatch batch) const {
+Result<PartitionedRelation> GlobalSkylineIncompleteExec::Execute(
+    ExecContext* ctx) const {
+  SL_ASSIGN_OR_RETURN(PartitionedRelation in, children_[0]->Execute(ctx));
+  // The validation rounds' DISTINCT tie-break (t < c on matrix indices) and
+  // the finalize concatenation are sound only over an ascending view whose
+  // matrix row order is the gathered input order.
+  SL_ASSIGN_OR_RETURN(skyline::ColumnarBatch batch,
+                      GatheredBatch(ctx, &in, dims_, /*ascending_view=*/true));
+
   skyline::SkylineOptions options;
   options.distinct = distinct_;
   options.nulls = skyline::NullSemantics::kIncomplete;
   options.counter = ctx->merge_dominance();
   options.deadline_nanos = ctx->deadline_nanos();
   options.cancel = ctx->cancel_token();
-  options.memory = ctx->memory();
 
   const skyline::DominanceMatrix& matrix = batch.matrix();
-  // ColumnarBatch::Concat guarantees matrix row order == gathered input
-  // order and an ascending identity view — exactly the DISTINCT tie-break
-  // and ascending-chunk preconditions of the round-based kernels.
   const std::vector<uint32_t>& view = batch.indices();
 
   PartitionedRelation out;
@@ -782,9 +643,8 @@ Result<PartitionedRelation> GlobalSkylineIncompleteExec::ExecuteColumnar(
 
   const size_t num_executors =
       static_cast<size_t>(std::max(1, ctx->config().num_executors));
-  if (!parallel_ || num_executors <= 1 || view.size() < 2) {
-    // Single-task all-pairs (the paper's algorithm as written), minus the
-    // projection it used to pay.
+  if (num_executors <= 1 || view.size() < 2) {
+    // Single-task all-pairs (the paper's algorithm as written).
     std::vector<uint32_t> survivors;
     SL_RETURN_NOT_OK(RunStage(ctx, 1, [&](size_t) -> Status {
       SL_ASSIGN_OR_RETURN(
@@ -796,9 +656,12 @@ Result<PartitionedRelation> GlobalSkylineIncompleteExec::ExecuteColumnar(
     return out;
   }
 
-  // Round-based parallel all-pairs over index slices of the shared matrix
-  // (see the class comment): candidates per chunk, then rotating validation
-  // against full peer chunks.
+  // Round-based parallel all-pairs (see the class comment): unlike the
+  // complete path's partial-merge, survivor-only merging is unsound under
+  // non-transitive dominance, so candidates are validated against each peer
+  // chunk's *full* tuple set, one rotating peer per round. Contiguous
+  // balanced chunks keep chunk order == global input order, which the
+  // DISTINCT tie-break and the finalize concatenation rely on.
   const size_t chunks = std::min(num_executors, view.size());
   const std::vector<size_t> bounds = ChunkBounds(view.size(), chunks);
   std::vector<std::vector<uint32_t>> chunk_indices(chunks);
@@ -816,6 +679,9 @@ Result<PartitionedRelation> GlobalSkylineIncompleteExec::ExecuteColumnar(
         return Status::OK();
       }));
 
+  // chunks-1 rotation rounds; each task only shrinks its own candidate
+  // list and reads peer chunks, so rounds need no cross-task coordination
+  // beyond the stage barrier (which models the per-round exchange).
   for (size_t round = 1; round < chunks; ++round) {
     SL_RETURN_NOT_OK(RunStage(
         ctx, StrCat(label(), " [validate]"), chunks, [&](size_t i) -> Status {
@@ -837,164 +703,6 @@ Result<PartitionedRelation> GlobalSkylineIncompleteExec::ExecuteColumnar(
           survivors.insert(survivors.end(), c.begin(), c.end());
         }
         out.batches[0] = batch.WithSelection(std::move(survivors), false);
-        return Status::OK();
-      }));
-  SL_RETURN_NOT_OK(ChargeOutput(ctx, &out));
-  return out;
-}
-
-Result<PartitionedRelation> GlobalSkylineIncompleteExec::Execute(
-    ExecContext* ctx) const {
-  SL_ASSIGN_OR_RETURN(PartitionedRelation in, children_[0]->Execute(ctx));
-
-  // Accept the shuffled batch only when it was projected for these
-  // dimensions AND its view is ascending in matrix index: the validation
-  // rounds' DISTINCT tie-break (t < c on matrix indices) and the finalize
-  // concatenation are sound only over ascending views. The gather's Concat
-  // always produces an identity view today, so the is_sorted scan is an
-  // O(n) insurance premium against a future plan shape that bypasses it
-  // (n² kernel work follows, so the scan is noise).
-  if (columnar_ && columnar_exchange_ && in.batches.size() == 1 &&
-      in.batches[0].has_value() && in.batches[0]->ProjectedFor(dims_) &&
-      std::is_sorted(in.batches[0]->indices().begin(),
-                     in.batches[0]->indices().end())) {
-    ctx->AddMatrixReuse(label());
-    skyline::ColumnarBatch batch = std::move(*in.batches[0]);
-    return ExecuteColumnar(ctx, std::move(batch));
-  }
-
-  DecodeInput(ctx, &in);
-  std::vector<Row> rows = std::move(in).Flatten();
-
-  skyline::SkylineOptions options;
-  options.distinct = distinct_;
-  options.nulls = skyline::NullSemantics::kIncomplete;
-  options.counter = ctx->merge_dominance();
-  options.deadline_nanos = ctx->deadline_nanos();
-  options.cancel = ctx->cancel_token();
-
-  PartitionedRelation out;
-  out.attrs = output_;
-  out.partitions.emplace_back();
-
-  const size_t num_executors =
-      static_cast<size_t>(std::max(1, ctx->config().num_executors));
-  if (!parallel_ || num_executors <= 1 || rows.size() < 2) {
-    // Single-task all-pairs (the paper's algorithm as written).
-    SL_RETURN_NOT_OK(RunStage(ctx, 1, [&](size_t) -> Status {
-      if (columnar_) {
-        std::atomic<int64_t> builds{0};
-        skyline::SkylineOptions opts = options;
-        opts.memory = ctx->memory();
-        opts.matrix_builds = &builds;
-        SL_ASSIGN_OR_RETURN(out.partitions[0],
-                            skyline::ColumnarAllPairsSkyline(rows, dims_, opts));
-        if (builds.load() > 0) ctx->AddMatrixBuilds(label(), builds.load());
-      } else {
-        SL_ASSIGN_OR_RETURN(
-            out.partitions[0],
-            skyline::AllPairsIncomplete(rows, dims_, options));
-      }
-      return Status::OK();
-    }));
-    SL_RETURN_NOT_OK(ChargeOutput(ctx, &out));
-    return out;
-  }
-
-  // Round-based parallel all-pairs (see the class comment): unlike the
-  // complete path's partial-merge, survivor-only merging is unsound under
-  // non-transitive dominance, so candidates are validated against each
-  // peer chunk's *full* tuple set, one rotating peer per round.
-  const size_t chunks = std::min(num_executors, rows.size());
-  // Contiguous balanced spans (sizes differ by at most one) over the
-  // gathered input; contiguity keeps chunk order == global input order,
-  // which the DISTINCT tie-break and the finalize concatenation rely on.
-  const std::vector<size_t> bounds = ChunkBounds(rows.size(), chunks);
-
-  // One shared matrix for all stages (the candidate scans and every
-  // validation round reuse its packed keys and per-row null bitmaps); row
-  // kernels take over when the shape is unsupported. The projection runs
-  // inside a timed stage so its cost lands in the critical path exactly as
-  // it does on the single-task path (where ColumnarAllPairsSkyline builds
-  // the matrix inside the timed task).
-  std::optional<skyline::DominanceMatrix> matrix;
-  std::optional<ScopedReservation> matrix_reservation;
-  if (columnar_) {
-    const std::string candidates_label = StrCat(label(), " [candidates]");
-    SL_RETURN_NOT_OK(RunStage(ctx, candidates_label, 1, [&](size_t) -> Status {
-      StopWatch project;
-      matrix = skyline::DominanceMatrix::TryBuild(rows, dims_);
-      if (matrix.has_value()) {
-        ctx->AddProjectionMs(project.ElapsedMillis());
-        ctx->AddMatrixBuilds(candidates_label, 1);
-      }
-      return Status::OK();
-    }));
-    if (matrix.has_value()) {
-      matrix_reservation.emplace(ctx->memory(), matrix->MemoryBytes());
-    }
-  }
-  std::vector<std::vector<uint32_t>> chunk_indices;
-  if (matrix.has_value()) {
-    chunk_indices.resize(chunks);
-    for (size_t i = 0; i < chunks; ++i) {
-      chunk_indices[i].resize(bounds[i + 1] - bounds[i]);
-      for (size_t k = 0; k < chunk_indices[i].size(); ++k) {
-        chunk_indices[i][k] = static_cast<uint32_t>(bounds[i] + k);
-      }
-    }
-  }
-
-  std::vector<std::vector<uint32_t>> candidates(chunks);
-  SL_RETURN_NOT_OK(RunStage(
-      ctx, StrCat(label(), " [candidates]"), chunks, [&](size_t i) -> Status {
-        if (matrix.has_value()) {
-          SL_ASSIGN_OR_RETURN(candidates[i],
-                              skyline::ColumnarIncompleteCandidateScan(
-                                  *matrix, chunk_indices[i], options));
-        } else {
-          SL_ASSIGN_OR_RETURN(
-              candidates[i],
-              skyline::IncompleteCandidateScan(rows, bounds[i], bounds[i + 1],
-                                               dims_, options));
-        }
-        return Status::OK();
-      }));
-
-  // chunks-1 rotation rounds; each task only shrinks its own candidate
-  // list and reads peer chunks, so rounds need no cross-task coordination
-  // beyond the stage barrier (which models the per-round exchange).
-  for (size_t round = 1; round < chunks; ++round) {
-    SL_RETURN_NOT_OK(RunStage(
-        ctx, StrCat(label(), " [validate]"), chunks, [&](size_t i) -> Status {
-          const size_t peer = (i + round) % chunks;
-          if (matrix.has_value()) {
-            SL_ASSIGN_OR_RETURN(candidates[i],
-                                skyline::ColumnarValidateAgainstChunk(
-                                    *matrix, candidates[i],
-                                    chunk_indices[peer], options));
-          } else {
-            SL_ASSIGN_OR_RETURN(
-                candidates[i],
-                skyline::ValidateAgainstChunk(rows, candidates[i],
-                                              bounds[peer], bounds[peer + 1],
-                                              dims_, options));
-          }
-          return Status::OK();
-        }));
-  }
-
-  SL_RETURN_NOT_OK(RunStage(
-      ctx, StrCat(label(), " [finalize]"), 1, [&](size_t) -> Status {
-        // Chunks are ascending contiguous spans, so concatenating candidate
-        // lists in chunk order reproduces the single-task output order.
-        // Candidate indices are unique and `rows` is dead after this stage,
-        // so survivors are moved out rather than copied.
-        for (const auto& survivors : candidates) {
-          for (const uint32_t c : survivors) {
-            out.partitions[0].push_back(std::move(rows[c]));
-          }
-        }
         return Status::OK();
       }));
   SL_RETURN_NOT_OK(ChargeOutput(ctx, &out));

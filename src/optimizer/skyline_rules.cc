@@ -1,5 +1,6 @@
 // Skyline-specific optimizer rules (paper section 5.4 and Listing 4).
 #include <map>
+#include <optional>
 #include <set>
 
 #include "common/string_util.h"
@@ -265,30 +266,60 @@ Result<LogicalPlanPtr> SkylineToReference(const LogicalPlanPtr& plan) {
     SL_ASSIGN_OR_RETURN(LogicalPlanPtr inner,
                         CloneWithFreshIds(sky.child(), &ids));
 
+    // The planner's rule (Listing 8): incomplete semantics unless COMPLETE
+    // was declared or no dimension is nullable.
+    bool incomplete = false;
+    if (!sky.complete()) {
+      for (const auto& d : sky.dimensions()) {
+        const auto& dim = static_cast<const SkylineDimension&>(*d);
+        incomplete |= dim.child()->nullable();
+      }
+    }
+
     // Dominance predicate of Listing 4: the inner tuple is at least as good
-    // everywhere (equal on DIFF dims) and strictly better somewhere.
+    // everywhere (equal on DIFF dims) and strictly better somewhere. Under
+    // incomplete semantics both parts only look at dimensions where both
+    // tuples are non-NULL: a NULL on either side satisfies the non-strict
+    // part, and the strict part needs both values (which the comparison's
+    // three-valued logic already demands, made explicit here).
     std::vector<ExprPtr> non_strict;
     std::vector<ExprPtr> strict;
     for (const auto& d : sky.dimensions()) {
       const auto& dim = static_cast<const SkylineDimension&>(*d);
       ExprPtr outer_e = dim.child();
       ExprPtr inner_e = RemapAttributeIds(dim.child(), ids);
+      BinaryOp weak = BinaryOp::kEq;
+      std::optional<BinaryOp> strong;
       switch (dim.goal()) {
         case SkylineGoal::kMin:
-          non_strict.push_back(
-              BinaryExpr::Make(BinaryOp::kLe, inner_e, outer_e));
-          strict.push_back(BinaryExpr::Make(BinaryOp::kLt, inner_e, outer_e));
+          weak = BinaryOp::kLe;
+          strong = BinaryOp::kLt;
           break;
         case SkylineGoal::kMax:
-          non_strict.push_back(
-              BinaryExpr::Make(BinaryOp::kGe, inner_e, outer_e));
-          strict.push_back(BinaryExpr::Make(BinaryOp::kGt, inner_e, outer_e));
+          weak = BinaryOp::kGe;
+          strong = BinaryOp::kGt;
           break;
         case SkylineGoal::kDiff:
-          non_strict.push_back(
-              BinaryExpr::Make(BinaryOp::kEq, inner_e, outer_e));
           break;
       }
+      ExprPtr weak_e = BinaryExpr::Make(weak, inner_e, outer_e);
+      ExprPtr strong_e =
+          strong ? BinaryExpr::Make(*strong, inner_e, outer_e) : nullptr;
+      if (incomplete) {
+        weak_e = BinaryExpr::Make(
+            BinaryOp::kOr,
+            BinaryExpr::Make(
+                BinaryOp::kOr, UnaryExpr::Make(UnaryOp::kIsNull, inner_e),
+                UnaryExpr::Make(UnaryOp::kIsNull, outer_e)),
+            weak_e);
+        if (strong_e != nullptr) {
+          strong_e = CombineConjuncts(
+              {UnaryExpr::Make(UnaryOp::kIsNotNull, inner_e),
+               UnaryExpr::Make(UnaryOp::kIsNotNull, outer_e), strong_e});
+        }
+      }
+      non_strict.push_back(std::move(weak_e));
+      if (strong_e != nullptr) strict.push_back(std::move(strong_e));
     }
     if (strict.empty()) {
       // Only DIFF dimensions: nothing can dominate anything.

@@ -443,8 +443,15 @@ SkylineDelta IncrementalMaintainer::ResyncSubscription(
     version = snapshot->version();
     auto input = ApplyRecipe(*sub->recipe, snapshot->rows());
     if (input.ok()) {
-      next = skyline::BruteForceSkyline(*input, sub->recipe->dims,
-                                        RecipeOptions(*sub->recipe));
+      // The whole snapshot goes through the columnar kernel the query path
+      // uses: resync input is the table, not a delta batch, so it is never
+      // small. Complete semantics suffice — Subscribe rejects incomplete
+      // shapes — and without a deadline or cancel token the kernel cannot
+      // fail.
+      auto skyline = skyline::ColumnarSkyline(
+          skyline::ColumnarKernel::kBlockNestedLoop, *input,
+          sub->recipe->dims, RecipeOptions(*sub->recipe));
+      if (skyline.ok()) next = *std::move(skyline);
     }
   }
   // A dropped table (or a recipe the rows no longer satisfy) reads as an

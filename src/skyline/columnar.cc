@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <unordered_map>
+#include <optional>
 
 #if SPARKLINE_HAVE_AVX2_COMPARE
 #include <immintrin.h>
@@ -48,88 +48,134 @@ namespace {
 using internal::BatchedCounter;
 using internal::DeadlineChecker;
 
-/// Largest BIGINT magnitude exactly representable as double; larger values
-/// could flip a comparison after projection, so TryBuild refuses them.
+/// Largest BIGINT magnitude exactly representable as double; a column with
+/// a larger value is rank-encoded instead.
 constexpr int64_t kMaxExactInt = int64_t{1} << 53;
+
+/// The raw double key of one non-null value, or nullopt when the value has
+/// no exact order-preserving double (VARCHAR, BIGINT beyond 2^53, NaN) and
+/// its column must be rank-encoded.
+std::optional<double> RawKey(const Value& v) {
+  switch (v.type().id()) {
+    case TypeId::kBool:
+      return v.bool_value() ? 1.0 : 0.0;
+    case TypeId::kInt64: {
+      const int64_t i = v.int64_value();
+      if (i > kMaxExactInt || i < -kMaxExactInt) return std::nullopt;
+      return static_cast<double>(i);
+    }
+    case TypeId::kDouble:
+      if (std::isnan(v.double_value())) return std::nullopt;
+      return v.double_value();
+    case TypeId::kString:
+      break;
+  }
+  return std::nullopt;
+}
+
+bool ValueLess(const Value& a, const Value& b) {
+  return CompareValues(a, b) < 0;
+}
 
 }  // namespace
 
-std::optional<DominanceMatrix> DominanceMatrix::TryBuild(
+DominanceMatrix DominanceMatrix::Build(
     const std::vector<Row>& rows, const std::vector<BoundDimension>& dims) {
-  if (dims.empty() || dims.size() > kMaxDims) return std::nullopt;
-
+  SL_DCHECK(dims.size() <= kMaxDims) << "at most 32 skyline dimensions";
   DominanceMatrix m;
   m.n_ = rows.size();
   m.d_ = dims.size();
   m.keys_.assign(m.n_ * m.d_, 0.0);
-  m.numeric_minmax_ = true;
-  m.dicts_.assign(m.d_, {});
+  m.numeric_minmax_ = m.d_ > 0;
+  m.ranked_.assign(m.d_, 0);
+  m.decode_.assign(m.d_, {});
 
   bool any_null = false;
   std::vector<uint32_t> nulls(m.n_, 0);
   for (size_t d = 0; d < dims.size(); ++d) {
     const BoundDimension& dim = dims[d];
-    const bool is_diff = dim.goal == SkylineGoal::kDiff;
-    if (is_diff) m.diff_mask_ |= (1u << d);
+    if (dim.goal == SkylineGoal::kDiff) m.diff_mask_ |= (1u << d);
+    if (dim.goal == SkylineGoal::kMax) m.max_mask_ |= (1u << d);
     const double sign = dim.goal == SkylineGoal::kMax ? -1.0 : 1.0;
 
-    // Dictionary for VARCHAR DIFF dimensions; codes only need to preserve
-    // equality, so insertion order is fine.
-    std::unordered_map<std::string, double> dictionary;
-
-    bool dim_numeric = !is_diff;
-    for (size_t r = 0; r < m.n_; ++r) {
-      double& slot = m.keys_[r * m.d_ + d];
+    bool dim_numeric = dim.goal != SkylineGoal::kDiff;
+    bool ranked = false;
+    for (size_t r = 0; r < m.n_ && !ranked; ++r) {
       const Value& v = rows[r][dim.ordinal];
       if (v.is_null()) {
         nulls[r] |= (1u << d);
         any_null = true;
         continue;
       }
-      double key;
-      switch (v.type().id()) {
-        case TypeId::kBool:
-          key = v.bool_value() ? 1.0 : 0.0;
-          dim_numeric = false;  // row SFS/grid treat BOOLEAN as non-numeric
-          break;
-        case TypeId::kInt64: {
-          const int64_t i = v.int64_value();
-          if (i > kMaxExactInt || i < -kMaxExactInt) return std::nullopt;
-          key = static_cast<double>(i);
-          break;
-        }
-        case TypeId::kDouble:
-          key = v.double_value();
-          if (std::isnan(key)) return std::nullopt;
-          break;
-        case TypeId::kString: {
-          if (!is_diff) return std::nullopt;  // MIN/MAX over VARCHAR
-          auto [it, inserted] = dictionary.emplace(
-              v.string_value(), static_cast<double>(dictionary.size()));
-          // Keep the decode table so ConcatSelected can remap codes later.
-          if (inserted) m.dicts_[d].push_back(v.string_value());
-          slot = it->second;
-          continue;
-        }
-        default:
-          return std::nullopt;
+      // BOOLEAN keys are exact but carry no useful coordinate for the SFS
+      // bounds or the grid, so such a dimension is not "numeric".
+      if (v.type().id() == TypeId::kBool) dim_numeric = false;
+      const std::optional<double> key = RawKey(v);
+      if (!key.has_value()) {
+        ranked = true;
+        break;
       }
-      slot = is_diff ? key : sign * key;
+      m.keys_[r * m.d_ + d] = sign * *key;
     }
-    m.numeric_minmax_ = m.numeric_minmax_ && dim_numeric;
+    if (ranked) m.EncodeRanks(rows, dim.ordinal, d, &nulls, &any_null);
+    m.numeric_minmax_ = m.numeric_minmax_ && dim_numeric && !ranked;
   }
   if (any_null) m.nulls_ = std::move(nulls);
   return m;
+}
+
+void DominanceMatrix::EncodeRanks(const std::vector<Row>& rows, size_t ordinal,
+                                  size_t d, std::vector<uint32_t>* nulls,
+                                  bool* any_null) {
+  // Dense ranks in CompareValues order: sort the non-null rows by value and
+  // number the distinct values. Equal values share a rank, so dominance and
+  // DIFF equality over ranks are exactly dominance and equality over values.
+  std::vector<uint32_t> order;
+  order.reserve(n_);
+  for (size_t r = 0; r < n_; ++r) {
+    if (rows[r][ordinal].is_null()) {
+      (*nulls)[r] |= (1u << d);
+      *any_null = true;
+    } else {
+      order.push_back(static_cast<uint32_t>(r));
+    }
+  }
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    return ValueLess(rows[a][ordinal], rows[b][ordinal]);
+  });
+  ranked_[d] = 1;
+  std::vector<Value>& table = decode_[d];
+  for (const uint32_t r : order) {
+    const Value& v = rows[r][ordinal];
+    if (table.empty() || CompareValues(table.back(), v) != 0) {
+      table.push_back(v);
+    }
+    keys_[r * d_ + d] = RankKey(d, table.size() - 1);
+  }
+}
+
+double DominanceMatrix::RankKey(size_t dim, size_t rank) const {
+  const double key = static_cast<double>(rank);
+  return ((max_mask_ >> dim) & 1u) ? -key : key;
+}
+
+Value DominanceMatrix::DecodeKey(uint32_t row, size_t dim,
+                                 TypeId raw_type) const {
+  const double key = keys_[row * d_ + dim];
+  if (ranked_[dim]) return decode_[dim][static_cast<size_t>(std::fabs(key))];
+  const double raw = ((max_mask_ >> dim) & 1u) ? -key : key;
+  if (raw_type == TypeId::kInt64) {
+    return Value::Int64(static_cast<int64_t>(raw));
+  }
+  return Value::Double(raw);
 }
 
 int64_t DominanceMatrix::MemoryBytes() const {
   int64_t bytes = static_cast<int64_t>(sizeof(DominanceMatrix));
   bytes += static_cast<int64_t>(keys_.capacity() * sizeof(double));
   bytes += static_cast<int64_t>(nulls_.capacity() * sizeof(uint32_t));
-  for (const auto& dict : dicts_) {
-    for (const auto& s : dict) {
-      bytes += static_cast<int64_t>(sizeof(std::string) + s.capacity());
-    }
+  for (const auto& table : decode_) {
+    for (const Value& v : table) bytes += v.EstimatedBytes();
   }
   return bytes;
 }
@@ -141,13 +187,17 @@ DominanceMatrix DominanceMatrix::ConcatSelected(
   DominanceMatrix out;
   out.d_ = parts[0]->d_;
   out.diff_mask_ = parts[0]->diff_mask_;
+  out.max_mask_ = parts[0]->max_mask_;
   out.numeric_minmax_ = true;
-  out.dicts_.assign(out.d_, {});
+  out.ranked_.assign(out.d_, 0);
+  out.decode_.assign(out.d_, {});
 
   size_t total = 0;
   bool any_null = false;
   for (size_t p = 0; p < parts.size(); ++p) {
-    SL_DCHECK(parts[p]->d_ == out.d_ && parts[p]->diff_mask_ == out.diff_mask_);
+    SL_DCHECK(parts[p]->d_ == out.d_ &&
+              parts[p]->diff_mask_ == out.diff_mask_ &&
+              parts[p]->max_mask_ == out.max_mask_);
     total += selections[p]->size();
     any_null |= parts[p]->has_nulls();
     out.numeric_minmax_ &= parts[p]->numeric_minmax_;
@@ -156,37 +206,60 @@ DominanceMatrix DominanceMatrix::ConcatSelected(
   out.keys_.assign(total * out.d_, 0.0);
   if (any_null) out.nulls_.assign(total, 0);
 
-  // A dimension is dictionary-encoded iff any part saw a string there (a
-  // part can have an empty dict only when its rows are all NULL in that
-  // dimension, in which case there are no codes to remap).
-  std::vector<char> dict_dim(out.d_, 0);
-  std::vector<std::unordered_map<std::string, double>> unified(out.d_);
-  for (size_t d = 0; d < out.d_; ++d) {
-    for (const auto* part : parts) {
-      if (!part->dicts_[d].empty()) dict_dim[d] = 1;
-    }
-  }
-
   size_t cursor = 0;
   for (size_t p = 0; p < parts.size(); ++p) {
     const DominanceMatrix& part = *parts[p];
     for (const uint32_t r : *selections[p]) {
       std::copy_n(part.row_keys(r), out.d_,
                   out.keys_.begin() + cursor * out.d_);
-      const uint32_t nulls = part.null_bitmap(r);
-      if (any_null) out.nulls_[cursor] = nulls;
-      for (size_t d = 0; d < out.d_; ++d) {
-        if (!dict_dim[d] || ((nulls >> d) & 1u)) continue;
-        const size_t code =
-            static_cast<size_t>(part.keys_[r * part.d_ + d]);
-        const std::string& value = part.dicts_[d][code];
-        auto [it, inserted] = unified[d].emplace(
-            value, static_cast<double>(unified[d].size()));
-        if (inserted) out.dicts_[d].push_back(value);
-        out.keys_[cursor * out.d_ + d] = it->second;
-      }
+      if (any_null) out.nulls_[cursor] = part.null_bitmap(r);
       ++cursor;
     }
+  }
+
+  // Ranks are only comparable within one matrix. A dimension that any part
+  // rank-encoded (with at least one value) is re-ranked over the union of
+  // the selected values; parts that kept raw keys there contribute their
+  // values decoded from the key, typed like the ranked parts' values.
+  for (size_t d = 0; d < out.d_; ++d) {
+    const Value* typed = nullptr;
+    for (const auto* part : parts) {
+      if (part->ranked_[d] && !part->decode_[d].empty()) {
+        typed = &part->decode_[d].front();
+        break;
+      }
+    }
+    if (typed == nullptr) continue;
+    const TypeId raw_type = typed->type().id();
+    std::vector<Value> cells(total);
+    std::vector<Value> table;
+    cursor = 0;
+    for (size_t p = 0; p < parts.size(); ++p) {
+      const DominanceMatrix& part = *parts[p];
+      for (const uint32_t r : *selections[p]) {
+        if (((part.null_bitmap(r) >> d) & 1u) == 0) {
+          cells[cursor] = part.DecodeKey(r, d, raw_type);
+          table.push_back(cells[cursor]);
+        }
+        ++cursor;
+      }
+    }
+    std::sort(table.begin(), table.end(), ValueLess);
+    table.erase(std::unique(table.begin(), table.end(),
+                            [](const Value& a, const Value& b) {
+                              return CompareValues(a, b) == 0;
+                            }),
+                table.end());
+    for (size_t row = 0; row < total; ++row) {
+      if (any_null && ((out.nulls_[row] >> d) & 1u)) continue;
+      const size_t rank =
+          std::lower_bound(table.begin(), table.end(), cells[row], ValueLess) -
+          table.begin();
+      out.keys_[row * out.d_ + d] = out.RankKey(d, rank);
+    }
+    out.ranked_[d] = 1;
+    out.decode_[d] = std::move(table);
+    out.numeric_minmax_ = false;
   }
   return out;
 }
@@ -199,15 +272,14 @@ std::vector<uint32_t> AllIndices(const DominanceMatrix& matrix) {
 
 // --- ColumnarBatch ----------------------------------------------------------
 
-std::optional<ColumnarBatch> ColumnarBatch::Project(
-    std::shared_ptr<std::vector<Row>> rows,
-    const std::vector<BoundDimension>& dims, MemoryTracker* memory) {
-  std::optional<DominanceMatrix> matrix = DominanceMatrix::TryBuild(*rows, dims);
-  if (!matrix.has_value()) return std::nullopt;
+ColumnarBatch ColumnarBatch::Project(std::shared_ptr<std::vector<Row>> rows,
+                                     const std::vector<BoundDimension>& dims,
+                                     MemoryTracker* memory) {
+  DominanceMatrix matrix = DominanceMatrix::Build(*rows, dims);
   ColumnarBatch batch;
   batch.reservation_ =
-      std::make_shared<const ScopedReservation>(memory, matrix->MemoryBytes());
-  batch.matrix_ = std::make_shared<const DominanceMatrix>(std::move(*matrix));
+      std::make_shared<const ScopedReservation>(memory, matrix.MemoryBytes());
+  batch.matrix_ = std::make_shared<const DominanceMatrix>(std::move(matrix));
   batch.rows_ = std::move(rows);
   batch.dims_ = dims;
   batch.indices_ = AllIndices(*batch.matrix_);
@@ -228,8 +300,7 @@ ColumnarBatch ColumnarBatch::Concat(std::vector<ColumnarBatch>* parts,
   SL_DCHECK(!parts->empty());
   // A single part is still compacted (not passed through): its backing may
   // hold the stage's full input while the view kept only survivors, and the
-  // gather is where non-survivors should stop occupying memory — exactly
-  // like the row pipeline, whose local stage materializes survivors only.
+  // gather is where non-survivors should stop occupying memory.
   std::vector<const DominanceMatrix*> matrices;
   std::vector<const std::vector<uint32_t>*> selections;
   size_t total = 0;
@@ -247,12 +318,19 @@ ColumnarBatch ColumnarBatch::Concat(std::vector<ColumnarBatch>* parts,
     stop_bound = std::min(stop_bound, part.stop_bound_);
   }
   DominanceMatrix merged = DominanceMatrix::ConcatSelected(matrices, selections);
+  for (size_t d = 0; d < merged.num_dims(); ++d) {
+    if (merged.rank_encoded(d)) {
+      // Re-ranked keys are not the coordinates the parts were sorted and
+      // bounded by.
+      all_sorted = false;
+      stop_bound = std::numeric_limits<double>::infinity();
+    }
+  }
 
-  // Backing rows of the result = the selected rows in view order, i.e.
-  // exactly what a row-mode gather would ship — matrix row order is the
-  // gathered input order. Exclusively owned part backings are moved, like
-  // the row gather moves (survivor views have distinct indices, so each row
-  // moves at most once).
+  // Backing rows of the result = the selected rows in view order, so matrix
+  // row order is the gathered input order. Exclusively owned part backings
+  // are moved (survivor views have distinct indices, so each row moves at
+  // most once).
   auto rows = std::make_shared<std::vector<Row>>();
   rows->reserve(total);
   for (ColumnarBatch& part : *parts) {
@@ -781,11 +859,6 @@ Result<std::vector<uint32_t>> ColumnarValidateAgainstChunk(
 }
 
 std::vector<std::vector<uint32_t>> PartitionIndicesByNullBitmap(
-    const DominanceMatrix& matrix) {
-  return PartitionIndicesByNullBitmap(matrix, AllIndices(matrix));
-}
-
-std::vector<std::vector<uint32_t>> PartitionIndicesByNullBitmap(
     const DominanceMatrix& matrix, const std::vector<uint32_t>& input) {
   std::map<uint32_t, std::vector<uint32_t>> groups;
   for (const uint32_t r : input) {
@@ -822,28 +895,6 @@ Result<std::vector<uint32_t>> DispatchKernel(ColumnarKernel kernel,
   return ColumnarBlockNestedLoop(matrix, input, options);
 }
 
-Result<std::vector<Row>> RowFallback(ColumnarKernel kernel,
-                                     const std::vector<Row>& input,
-                                     const std::vector<BoundDimension>& dims,
-                                     const SkylineOptions& options) {
-  switch (kernel) {
-    case ColumnarKernel::kSortFilterSkyline:
-      return SortFilterSkyline(input, dims, options);
-    case ColumnarKernel::kGridFilter:
-      return GridFilterSkyline(input, dims, options);
-    case ColumnarKernel::kBlockNestedLoop:
-      break;
-  }
-  return BlockNestedLoop(input, dims, options);
-}
-
-/// Counts one successful projection against options.matrix_builds.
-void CountMatrixBuild(const SkylineOptions& options) {
-  if (options.matrix_builds != nullptr) {
-    options.matrix_builds->fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
 }  // namespace
 
 Result<std::vector<uint32_t>> RunColumnarKernel(
@@ -867,31 +918,22 @@ Result<std::vector<Row>> ColumnarSkyline(ColumnarKernel kernel,
                                          const std::vector<Row>& input,
                                          const std::vector<BoundDimension>& dims,
                                          const SkylineOptions& options) {
-  std::optional<DominanceMatrix> matrix = DominanceMatrix::TryBuild(input, dims);
-  if (!matrix.has_value()) {
-    if (options.nulls == NullSemantics::kComplete) {
-      return RowFallback(kernel, input, dims, options);
-    }
-    return BitmapGroupedBnl(input, dims, options);
-  }
-  CountMatrixBuild(options);
-  ScopedReservation reservation(options.memory, matrix->MemoryBytes());
+  SL_RETURN_NOT_OK(CheckDimensionLimit(dims));
+  const DominanceMatrix matrix = DominanceMatrix::Build(input, dims);
   SL_ASSIGN_OR_RETURN(
       std::vector<uint32_t> survivors,
-      RunColumnarKernel(kernel, *matrix, AllIndices(*matrix), options));
+      RunColumnarKernel(kernel, matrix, AllIndices(matrix), options));
   return MaterializeRows(input, survivors);
 }
 
 Result<std::vector<Row>> ColumnarAllPairsSkyline(
     const std::vector<Row>& input, const std::vector<BoundDimension>& dims,
     const SkylineOptions& options) {
-  std::optional<DominanceMatrix> matrix = DominanceMatrix::TryBuild(input, dims);
-  if (!matrix.has_value()) return AllPairsIncomplete(input, dims, options);
-  CountMatrixBuild(options);
-  ScopedReservation reservation(options.memory, matrix->MemoryBytes());
+  SL_RETURN_NOT_OK(CheckDimensionLimit(dims));
+  const DominanceMatrix matrix = DominanceMatrix::Build(input, dims);
   SL_ASSIGN_OR_RETURN(
       std::vector<uint32_t> survivors,
-      ColumnarAllPairsIncomplete(*matrix, AllIndices(*matrix), options));
+      ColumnarAllPairsIncomplete(matrix, AllIndices(matrix), options));
   return MaterializeRows(input, survivors);
 }
 
@@ -912,40 +954,22 @@ Result<DeltaClassification> DeltaClassify(const std::vector<Row>& skyline,
   if (m == 0) return out;
 
   // One combined projection — skyline rows first, batch rows after — so
-  // both sides share packed keys and one VARCHAR dictionary (codes are only
+  // both sides share packed keys and one rank encoding (ranks are only
   // comparable within a single matrix).
   std::vector<Row> combined;
   combined.reserve(n + m);
   combined.insert(combined.end(), skyline.begin(), skyline.end());
   combined.insert(combined.end(), batch.begin(), batch.end());
-  std::optional<DominanceMatrix> matrix =
-      DominanceMatrix::TryBuild(combined, dims);
-  if (matrix.has_value()) {
-    CountMatrixBuild(options);
-    if (matrix->has_nulls()) {
-      out.needs_fallback = true;
-      return out;
-    }
-  } else {
-    for (const Row& row : combined) {
-      if (NullBitmap(row, dims) != 0) {
-        out.needs_fallback = true;
-        return out;
-      }
-    }
+  const DominanceMatrix matrix = DominanceMatrix::Build(combined, dims);
+  if (matrix.has_nulls()) {
+    out.needs_fallback = true;
+    return out;
   }
-  ScopedReservation reservation(
-      options.memory, matrix.has_value() ? matrix->MemoryBytes() : 0);
 
   const auto compare = [&](size_t a, size_t b) {
     internal::CountTest(options);
-    if (matrix.has_value()) {
-      return matrix->Compare(static_cast<uint32_t>(a),
-                             static_cast<uint32_t>(b),
-                             NullSemantics::kComplete);
-    }
-    return CompareRows(combined[a], combined[b], dims,
-                       NullSemantics::kComplete);
+    return matrix.Compare(static_cast<uint32_t>(a), static_cast<uint32_t>(b),
+                          NullSemantics::kComplete);
   };
 
   // Maintenance runs on the catalog notifier thread, but the classify is

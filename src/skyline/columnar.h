@@ -1,5 +1,5 @@
-// Columnar dominance testing: the hot-loop representation behind the
-// skyline operators.
+// Columnar dominance testing: the one dominance path behind the skyline
+// operators.
 //
 // The paper calls dominance tests "the main cost factor of skyline
 // computation" (section 2), yet a row-oriented test pays a tagged-union type
@@ -11,25 +11,26 @@
 //     in the hot loop is a plain `<` (MIN); each row's keys are contiguous
 //     (a d-dimensional tuple fits one or two cache lines, which is what a
 //     pairwise dominance test actually touches),
-//   - DIFF dimensions as dictionary codes (equality is all DIFF needs;
-//     VARCHAR values are dictionary-encoded, numerics used verbatim),
 //   - a per-row null bitmap (one bit per dimension, as in paper section 5.7).
 //
-// The kernels in this header run entirely over row *indices* into the
-// matrix and materialize full Rows only for the final survivors; they are
-// drop-in equivalents of the row kernels in algorithms.h and must produce
-// identical results (tests/matrix_equivalence_test.cc enforces this).
+// The projection is total and exact. BOOLEAN, DOUBLE and BIGINT within
+// ±2^53 keep their value as the key. A column holding anything without an
+// exact order-preserving double — VARCHAR, BIGINT beyond ±2^53, NaN — is
+// *rank-encoded* instead: the key is the value's dense rank in
+// CompareValues order (Spark's: NaN is the greatest double, -0.0 == 0.0),
+// and the sorted distinct values are kept as the decode table. Ranks
+// compare exactly like the values they encode, but only within one matrix.
 //
-// TryBuild refuses shapes whose double projection could change comparison
-// results (BIGINT magnitudes beyond 2^53, NaN values) — callers then fall
-// back to the row kernels, keeping correctness independent of the fast path.
+// The kernels in this header run entirely over row *indices* into the
+// matrix and materialize full Rows only for the final survivors. The
+// row-at-a-time definitions in skyline/reference.h are their oracle
+// (tests/matrix_equivalence_test.cc and tests/skyline_algo_test.cc).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -114,7 +115,7 @@ namespace simd {
 #if SPARKLINE_HAVE_AVX2_COMPARE
 /// \brief Explicit AVX2 compare: both comparison directions run over four
 /// dimensions per instruction with OR-accumulated masks, then one movemask
-/// per direction. Keys are never NaN (TryBuild refuses them), so the
+/// per direction. Keys are never NaN (NaN columns are rank-encoded), so the
 /// ordered predicate is exact. Only call when Avx2Available() is true.
 /// Defined out-of-line with a per-function target attribute so the rest of
 /// the binary keeps the baseline ISA.
@@ -156,13 +157,15 @@ class DominanceMatrix {
   /// Hard dimension cap: null bitmaps are 32-bit (see dominance.h).
   static constexpr size_t kMaxDims = 32;
 
-  /// \brief Projects `rows` into columnar form. Returns nullopt when the
-  /// shape is unsupported and the caller must use the row kernels:
-  /// more than kMaxDims dimensions, NaN in a MIN/MAX dimension, or BIGINT
-  /// values whose magnitude exceeds 2^53 (not exactly representable as
-  /// double, so projection could flip a comparison).
-  static std::optional<DominanceMatrix> TryBuild(
-      const std::vector<Row>& rows, const std::vector<BoundDimension>& dims);
+  /// \brief Projects `rows` into columnar form. Never fails: columns whose
+  /// values have no exact double key are rank-encoded (see the file
+  /// comment), so Compare agrees with CompareRows on every input.
+  ///
+  /// \pre dims.size() <= kMaxDims (the analyzer rejects more; the row-level
+  /// entry points return Status::Invalid via CheckDimensionLimit) and every
+  /// dims[i].ordinal is a valid column of every row.
+  static DominanceMatrix Build(const std::vector<Row>& rows,
+                               const std::vector<BoundDimension>& dims);
 
   size_t num_rows() const { return n_; }
   size_t num_dims() const { return d_; }
@@ -173,10 +176,14 @@ class DominanceMatrix {
   }
   bool has_nulls() const { return !nulls_.empty(); }
 
-  /// True when every dimension is a numeric MIN/MAX — the precondition the
-  /// row-oriented SFS and grid kernels require; mirrored here so kernel
-  /// fallback decisions stay identical between the two paths.
+  /// True when every dimension is a raw-keyed numeric MIN/MAX (no DIFF,
+  /// BOOLEAN or rank-encoded dimension): only then are keys coordinates —
+  /// meaningful for the SFS sort keys, stop bounds and grid cells, and
+  /// comparable across independently built matrices (broadcast filter).
   bool all_numeric_minmax() const { return numeric_minmax_; }
+
+  /// True when dimension `dim` holds dense ranks rather than raw values.
+  bool rank_encoded(size_t dim) const { return ranked_[dim] != 0; }
 
   /// The packed keys of one row (d contiguous doubles).
   const double* row_keys(uint32_t row) const { return keys_.data() + row * d_; }
@@ -218,27 +225,27 @@ class DominanceMatrix {
   uint32_t diff_mask() const { return diff_mask_; }
 
   /// \brief Byte footprint of the projection: packed keys, null bitmaps and
-  /// VARCHAR dictionary decode tables. This is what the exec layer charges
-  /// to the query's MemoryTracker while a matrix lives.
+  /// rank decode tables. This is what the exec layer charges to the query's
+  /// MemoryTracker while a matrix lives.
   int64_t MemoryBytes() const;
 
   /// \brief Concatenates the *selected* rows of several independently built
   /// matrices into one compact matrix — the columnar shuffle primitive.
   /// Row r of the result is the selections[p][k]-th row of parts[p], in
-  /// (part, selection) order. Packed keys and null bitmaps are copied;
-  /// VARCHAR DIFF dictionary codes are remapped through the parts' decode
-  /// tables into one unified dictionary (codes are only comparable within
-  /// one matrix). No re-projection from row Values happens.
+  /// (part, selection) order. Packed keys and null bitmaps are copied; a
+  /// dimension any part rank-encoded is re-ranked, in order, over the
+  /// union of the selected values (ranks are only comparable within one
+  /// matrix; parts that kept raw keys there contribute their decoded
+  /// values). No re-projection from row Values happens.
   ///
-  /// \pre parts is non-empty, all parts share num_dims() and diff_mask()
-  /// (they were projected with the same BoundDimension list), and every
-  /// selection index is valid for its part.
+  /// \pre parts is non-empty, all parts were projected with the same
+  /// BoundDimension list, and every selection index is valid for its part.
   static DominanceMatrix ConcatSelected(
       const std::vector<const DominanceMatrix*>& parts,
       const std::vector<const std::vector<uint32_t>*>& selections);
 
-  /// \brief Dominance between rows `i` and `j`, equivalent to CompareRows
-  /// over the original rows. One call == one dominance test.
+  /// \brief Dominance between rows `i` and `j`, equal to CompareRows over
+  /// the original rows. One call == one dominance test.
   Dominance Compare(uint32_t i, uint32_t j, NullSemantics nulls) const {
     const uint32_t skip =
         nulls == NullSemantics::kIncomplete ? null_bitmap(i) | null_bitmap(j)
@@ -249,17 +256,28 @@ class DominanceMatrix {
  private:
   DominanceMatrix() = default;
 
+  /// Rank-encodes dimension `d` (column `ordinal` of `rows`), overwriting
+  /// its keys and recording its NULLs.
+  void EncodeRanks(const std::vector<Row>& rows, size_t ordinal, size_t d,
+                   std::vector<uint32_t>* nulls, bool* any_null);
+  /// The key of rank `rank` in dimension `dim` (negated for MAX).
+  double RankKey(size_t dim, size_t rank) const;
+  /// The value behind one non-null key; `raw_type` types a raw key.
+  Value DecodeKey(uint32_t row, size_t dim, TypeId raw_type) const;
+
   size_t n_ = 0;
   size_t d_ = 0;
   std::vector<double> keys_;    ///< row-major packed keys, n_ * d_ entries
   std::vector<uint32_t> nulls_; ///< per-row bitmaps; empty when fully complete
   uint32_t diff_mask_ = 0;      ///< bit per DIFF dimension
+  uint32_t max_mask_ = 0;       ///< bit per MAX dimension (keys negated)
   bool numeric_minmax_ = false;
-  /// Decode tables for dictionary-encoded VARCHAR DIFF dimensions:
-  /// dicts_[dim][code] is the original string (empty vector for every other
-  /// dimension). Retained so ConcatSelected can remap codes across
-  /// independently built matrices.
-  std::vector<std::vector<std::string>> dicts_;
+  /// Per dimension: 1 when its keys are dense ranks.
+  std::vector<char> ranked_;
+  /// Rank decode tables: decode_[dim][rank] is the value of that rank,
+  /// ascending in CompareValues order (empty for raw dimensions). Retained
+  /// so ConcatSelected can re-rank across independently built matrices.
+  std::vector<std::vector<Value>> decode_;
 };
 
 /// \brief All row indices 0..n-1 (the identity selection for a kernel run
@@ -268,33 +286,36 @@ std::vector<uint32_t> AllIndices(const DominanceMatrix& matrix);
 
 // Preconditions shared by every Result-returning kernel below:
 //
-//   * The matrix must come from DominanceMatrix::TryBuild over the same
+//   * The matrix must come from DominanceMatrix::Build over the same
 //     logical input the index selections refer to; all indices must be
-//     < matrix.num_rows(). TryBuild enforces the kMaxDims (32) limit, so
-//     the kernels do not re-check it.
+//     < matrix.num_rows().
 //   * Keys are MIN/MAX-normalized at projection time: MAX dimensions are
 //     negated, so "smaller is better" holds for every key and the kernels
-//     never consult SkylineGoal again. DIFF dimensions are
-//     equality-only dictionary codes, flagged in diff_mask().
-//   * `options.nulls` selects the semantics exactly as in algorithms.h;
-//     under kIncomplete each comparison skips the union of the two rows'
-//     null bitmaps. The BNL kernel additionally requires bitmap-uniform
-//     input under kIncomplete (see BlockNestedLoop).
+//     never consult SkylineGoal again. DIFF dimensions are equality-only,
+//     flagged in diff_mask().
+//   * `options.nulls` selects the semantics: kComplete is paper Definition
+//     3.1 over non-null values; under kIncomplete each comparison skips the
+//     union of the two rows' null bitmaps (transitivity is lost). The BNL
+//     kernel then requires bitmap-uniform input (all rows NULL in the same
+//     dimensions), within which transitivity holds again (section 5.7).
 //   * With `options.deadline_nanos` set, kernels return Status::Timeout
 //     soon after the deadline; partial results are discarded.
 
-/// \brief Index-based Block-Nested-Loop over `input` (indices into the
-/// matrix, processed in order). Same window policy as BlockNestedLoop.
+/// \brief Index-based Block-Nested-Loop (Börzsönyi et al., paper section
+/// 5.6) over `input` (indices into the matrix, processed in order): a window
+/// of incomparable tuples; a newcomer dominated by (or, under DISTINCT,
+/// equal to) a window member is dropped, window members it dominates leave.
 Result<std::vector<uint32_t>> ColumnarBlockNestedLoop(
     const DominanceMatrix& matrix, const std::vector<uint32_t>& input,
     const SkylineOptions& options);
 
-/// \brief Index-based Sort-Filter-Skyline. Falls back to
-/// ColumnarBlockNestedLoop under incomplete semantics or when any dimension
-/// is not a numeric MIN/MAX (the same conditions as the row kernel). Sorts
-/// by options.sfs_sort_key; with options.sfs_early_stop the filter pass
-/// terminates at the SaLSa stop point (auto-disabled when the matrix has
-/// NULL bitmaps — results are identical either way).
+/// \brief Index-based Sort-Filter-Skyline, the presorting family the paper
+/// lists as future work (section 7). Falls back to ColumnarBlockNestedLoop
+/// under incomplete semantics or when !all_numeric_minmax(). Sorts by
+/// options.sfs_sort_key; after sorting no tuple can be dominated by a later
+/// one, so the window only grows. With options.sfs_early_stop the filter
+/// pass terminates at the SaLSa stop point (auto-disabled when the matrix
+/// has NULL bitmaps — results are identical either way).
 Result<std::vector<uint32_t>> ColumnarSortFilterSkyline(
     const DominanceMatrix& matrix, const std::vector<uint32_t>& input,
     const SkylineOptions& options);
@@ -346,12 +367,12 @@ double ComputeStopBound(const DominanceMatrix& matrix,
 
 /// \brief The pre-gather broadcast filter set (two-phase distributed
 /// pruning): the packed normalized keys of a few strong skyline points,
-/// nominated per partition and unioned. Because keys are MIN/MAX-normalized
-/// at projection time, they are comparable *across* independently built
-/// matrices — unlike DIFF dictionary codes — so a point nominated from one
+/// nominated per partition and unioned. Because raw keys are
+/// MIN/MAX-normalized values, they are comparable *across* independently
+/// built matrices — unlike ranks — so a point nominated from one
 /// partition's matrix prunes rows of every other partition directly via
-/// CompareKeySpansComplete. Valid only for all-numeric MIN/MAX matrices
-/// without NULL bitmaps and with diff_mask() == 0; producers must check.
+/// CompareKeySpansComplete. Valid only for all_numeric_minmax() matrices
+/// without NULL bitmaps; producers must check.
 struct FilterPointSet {
   size_t num_dims = 0;
   /// Row-major packed keys, num_points() * num_dims entries.
@@ -388,37 +409,44 @@ Result<std::vector<uint32_t>> PruneAgainstFilter(
     const DominanceMatrix& matrix, const std::vector<uint32_t>& view,
     const FilterPointSet& filter, const SkylineOptions& options);
 
-/// \brief Index-based grid-filter skyline: cell-level pruning over the
-/// normalized keys (all dimensions MIN after negation, so no bucket
-/// mirroring is needed), then ColumnarBlockNestedLoop over the survivors.
-/// Falls back to plain BNL under the row kernel's conditions, plus when
-/// dimensions exceed 16 (cell keys pack 4 bits per dimension).
+/// \brief Index-based grid-filter skyline (Tang et al., paper section 2):
+/// cell-level pruning over the normalized keys (all dimensions MIN after
+/// negation, so no bucket mirroring is needed) — a non-empty cell strictly
+/// below another in every dimension eliminates it wholesale — then
+/// ColumnarBlockNestedLoop over the survivors. Falls back to plain BNL
+/// under incomplete semantics, below 64 rows, when !all_numeric_minmax(),
+/// and beyond 16 dimensions (cell keys pack 4 bits per dimension).
 Result<std::vector<uint32_t>> ColumnarGridFilterSkyline(
     const DominanceMatrix& matrix, const std::vector<uint32_t>& input,
     const SkylineOptions& options);
 
 /// \brief Index-based all-pairs incomplete skyline with deferred deletion
-/// (paper section 5.7 / Appendix A), equivalent to AllPairsIncomplete.
+/// (paper section 5.7 / Appendix A): compares all pairs and only *flags*
+/// dominated tuples, deleting them after the last comparison — which is
+/// what makes cyclic dominance safe. Sound for any mix of null bitmaps.
 Result<std::vector<uint32_t>> ColumnarAllPairsIncomplete(
     const DominanceMatrix& matrix, const std::vector<uint32_t>& input,
     const SkylineOptions& options);
 
-/// \brief Columnar candidate stage of the round-based parallel incomplete
-/// global skyline (the counterpart of IncompleteCandidateScan): all-pairs
-/// with deferred deletion restricted to `chunk`, reusing the matrix's
-/// per-row null bitmaps for the restricted comparisons. Returns the
-/// surviving chunk indices in input order. Since a chunk is an ascending
-/// slice of the gathered input, index order doubles as the global DISTINCT
-/// tie-break order.
+/// \brief Candidate stage of the round-based parallel incomplete global
+/// skyline: all-pairs with deferred deletion restricted to `chunk`, reusing
+/// the matrix's per-row null bitmaps for the restricted comparisons.
+/// Returns the surviving chunk indices in input order. Every elimination
+/// cites a witness inside the chunk, which excludes the tuple from the
+/// global skyline regardless of transitivity; survivors are only candidates
+/// until ColumnarValidateAgainstChunk has checked every other chunk. Since
+/// a chunk is an ascending slice of the gathered input, index order doubles
+/// as the global DISTINCT tie-break order.
 ///
 /// \pre `chunk` holds valid, ascending matrix row indices.
 Result<std::vector<uint32_t>> ColumnarIncompleteCandidateScan(
     const DominanceMatrix& matrix, const std::vector<uint32_t>& chunk,
     const SkylineOptions& options);
 
-/// \brief Columnar validation round (the counterpart of
-/// ValidateAgainstChunk): keeps the candidates for which `peer` — one
-/// rotating chunk's *full* index set, not its candidate set — contains no
+/// \brief One validation round of the parallel incomplete global skyline:
+/// keeps the candidates for which `peer` — one rotating chunk's *full*
+/// index set, not its candidate set (a tuple eliminated in its own chunk can
+/// still be the only witness against a foreign candidate) — contains no
 /// dominating witness; under DISTINCT an equal peer tuple with the same
 /// null bitmap and a smaller matrix index also eliminates. Peer rows are
 /// read-only, so rounds over disjoint candidate sets can run in parallel.
@@ -429,14 +457,9 @@ Result<std::vector<uint32_t>> ColumnarValidateAgainstChunk(
     const DominanceMatrix& matrix, const std::vector<uint32_t>& candidates,
     const std::vector<uint32_t>& peer, const SkylineOptions& options);
 
-/// \brief Groups all matrix rows by their null bitmap, in ascending bitmap
-/// order (the index analog of PartitionByNullBitmap). Input order is
-/// preserved within each group.
-std::vector<std::vector<uint32_t>> PartitionIndicesByNullBitmap(
-    const DominanceMatrix& matrix);
-
-/// \brief Same, restricted to the given view (used by batch-aware stages
-/// that operate on a survivor view rather than the whole matrix).
+/// \brief Groups the rows of `input` by their null bitmap, in ascending
+/// bitmap order (paper section 5.7). Input order is preserved within each
+/// group.
 std::vector<std::vector<uint32_t>> PartitionIndicesByNullBitmap(
     const DominanceMatrix& matrix, const std::vector<uint32_t>& input);
 
@@ -467,37 +490,36 @@ Result<std::vector<uint32_t>> RunColumnarKernel(
 /// view dies.
 class ColumnarBatch {
  public:
-  /// \brief Projects `rows` once — the only projection this partition pays
-  /// on the columnar-exchange path. Returns nullopt when TryBuild refuses
-  /// the shape (the caller then stays on the row path; it may keep using
-  /// *rows). Matrix storage is charged to `memory` (if non-null) for the
-  /// matrix's lifetime. The backing rows are semantically immutable while
-  /// any view aliases them; the non-const element type only exists so an
-  /// exclusively owned backing can be *moved* out by Concat /
+  /// \brief Projects `rows` once — the only projection a partition pays in
+  /// a skyline pipeline. Matrix storage is charged to `memory` (if
+  /// non-null) for the matrix's lifetime. The backing rows are semantically
+  /// immutable while any view aliases them; the non-const element type only
+  /// exists so an exclusively owned backing can be *moved* out by Concat /
   /// DecodeConsuming instead of copied.
-  static std::optional<ColumnarBatch> Project(
+  static ColumnarBatch Project(
       std::shared_ptr<std::vector<Row>> rows,
       const std::vector<BoundDimension>& dims, MemoryTracker* memory = nullptr);
 
   /// \brief The columnar shuffle: concatenates the parts' *selected* rows
   /// into one compact batch via DominanceMatrix::ConcatSelected (key/bitmap
-  /// copy + dictionary remap — no re-projection). The backing rows of the
-  /// result are the selected rows materialized in view order — exactly the
-  /// rows a row-mode gather would have shipped, so matrix row order equals
-  /// gathered input order (the DISTINCT tie-break order downstream stages
-  /// rely on). If every part is score-sorted with the same sort key, the
-  /// merged view is produced by MergeByScore and stays score-sorted
+  /// copy + rank remap — no re-projection). The backing rows of the result
+  /// are the selected rows materialized in view order, so matrix row order
+  /// equals gathered input order (the DISTINCT tie-break order downstream
+  /// stages rely on). If every part is score-sorted with the same sort key,
+  /// the merged view is produced by MergeByScore and stays score-sorted
   /// (SFS-order inheritance across the exchange). The result's stop bound
   /// is the minimum over the parts' bounds — every part's witness row is
-  /// shipped, so the tightest local bound survives the gather. A single
-  /// part is compacted the same way, so the upstream stage's non-survivor
-  /// rows never travel past the exchange.
+  /// shipped, so the tightest local bound survives the gather. When the
+  /// concat had to re-rank a dimension, keys are no longer coordinates, so
+  /// the result drops the inherited order and stop bound. A single part is
+  /// compacted the same way, so the upstream stage's non-survivor rows
+  /// never travel past the exchange.
   ///
   /// The parts are consumed (backings moved out where exclusively owned)
   /// but deliberately left alive in the caller's vector: destroying the old
   /// backings — every non-survivor row of the upstream stage — is real
   /// work, and the caller decides where it lands (the exec layer drops them
-  /// outside the timed stage, exactly where the row pipeline destroys its
+  /// outside the timed stage, where every other operator destroys its
   /// consumed inputs).
   ///
   /// \pre parts non-empty, all projected with the same dimension list.
@@ -546,13 +568,12 @@ class ColumnarBatch {
     return true;
   }
 
-  /// Materializes the view's rows — the plan-root decode (or the row
-  /// fallback when a non-skyline operator consumes the relation).
+  /// Materializes the view's rows — the plan-root decode (or the decode
+  /// before a non-skyline operator consumes the relation).
   std::vector<Row> Decode() const { return MaterializeRows(*rows_, indices_); }
 
   /// \brief Decode that destroys the batch: when this view is the backing's
-  /// sole owner the selected rows are *moved* out (matching the row
-  /// pipeline, whose stages move rather than copy); aliased backings fall
+  /// sole owner the selected rows are *moved* out; aliased backings fall
   /// back to Decode's copy.
   ///
   /// \pre the view's indices are pairwise distinct (every survivor view the
@@ -576,18 +597,17 @@ class ColumnarBatch {
   double stop_bound_ = std::numeric_limits<double>::infinity();
 };
 
-/// \brief Convenience end-to-end entry: builds the matrix, runs the chosen
-/// kernel under complete semantics (or bitmap-grouped BNL + the local stage
-/// contract under incomplete semantics), and materializes survivors. Falls
-/// back to the row kernels when TryBuild refuses the input. This is what
-/// RunKernel in the exec layer calls.
+/// \brief Row-level entry: builds the matrix, runs RunColumnarKernel over
+/// all of it and materializes the survivors (the local-stage contract:
+/// under incomplete semantics, one BNL per bitmap-uniform group). Returns
+/// Status::Invalid beyond 32 dimensions.
 Result<std::vector<Row>> ColumnarSkyline(ColumnarKernel kernel,
                                          const std::vector<Row>& input,
                                          const std::vector<BoundDimension>& dims,
                                          const SkylineOptions& options);
 
-/// \brief End-to-end all-pairs global skyline for incomplete data, with row
-/// fallback (the columnar counterpart of AllPairsIncomplete).
+/// \brief Row-level entry for the all-pairs global skyline on incomplete
+/// data (ColumnarAllPairsIncomplete over a fresh matrix).
 Result<std::vector<Row>> ColumnarAllPairsSkyline(
     const std::vector<Row>& input, const std::vector<BoundDimension>& dims,
     const SkylineOptions& options);
@@ -603,8 +623,8 @@ struct DeltaClassification {
   std::vector<uint32_t> evicted;
   /// True when exactness cannot be certified and the caller must fall back
   /// to recompute/invalidation: a NULL in a skyline dimension (complete
-  /// semantics over NULL placeholders is not what the engine's row path
-  /// computes), or — under DISTINCT — a batch tuple dim-equal to a cached
+  /// semantics over NULL placeholders is not a defined skyline), or —
+  /// under DISTINCT — a batch tuple dim-equal to a cached
   /// point or to another batch tuple (replaying the first-encountered
   /// tie-break exactly would require the full input order, which the
   /// cached skyline no longer carries).
@@ -625,8 +645,7 @@ struct DeltaClassification {
 /// kComplete — kIncomplete is rejected with Status::Invalid.
 ///
 /// Uses one combined DominanceMatrix projection (skyline rows then batch
-/// rows) with the packed-key compare kernel, falling back to row
-/// comparisons when TryBuild refuses the shape. Cost: O((|S| + |B|)·|B|)
+/// rows) with the packed-key compare kernel. Cost: O((|S| + |B|)·|B|)
 /// dominance tests — independent of the table size.
 Result<DeltaClassification> DeltaClassify(const std::vector<Row>& skyline,
                                           const std::vector<Row>& batch,

@@ -5,48 +5,6 @@
 namespace sparkline {
 namespace skyline {
 
-Dominance CompareRows(const Row& left, const Row& right,
-                      const std::vector<BoundDimension>& dims,
-                      NullSemantics nulls) {
-  bool left_better = false;
-  bool right_better = false;
-  for (const auto& d : dims) {
-    const Value& l = left[d.ordinal];
-    const Value& r = right[d.ordinal];
-    if (nulls == NullSemantics::kIncomplete) {
-      // Restrict the comparison to dimensions where both are non-null.
-      if (l.is_null() || r.is_null()) continue;
-    }
-    SL_DCHECK(!l.is_null() && !r.is_null())
-        << "null skyline value under complete semantics";
-    const int cmp = CompareValues(l, r);
-    if (cmp == 0) continue;
-    switch (d.goal) {
-      case SkylineGoal::kDiff:
-        // Any difference in a DIFF dimension makes the tuples incomparable.
-        return Dominance::kIncomparable;
-      case SkylineGoal::kMin:
-        if (cmp < 0) {
-          left_better = true;
-        } else {
-          right_better = true;
-        }
-        break;
-      case SkylineGoal::kMax:
-        if (cmp > 0) {
-          left_better = true;
-        } else {
-          right_better = true;
-        }
-        break;
-    }
-    if (left_better && right_better) return Dominance::kIncomparable;
-  }
-  if (left_better) return Dominance::kLeftDominates;
-  if (right_better) return Dominance::kRightDominates;
-  return Dominance::kEqual;
-}
-
 uint32_t NullBitmap(const Row& row, const std::vector<BoundDimension>& dims) {
   SL_DCHECK(dims.size() <= 32) << "at most 32 skyline dimensions supported";
   uint32_t bitmap = 0;

@@ -1,8 +1,10 @@
 // Dominance testing (paper Definition 3.1 and its incomplete-data variant).
 //
-// This is the "new utility" of paper section 5.5: it takes the values and
-// goals of the skyline dimensions of two tuples and decides dominance,
-// matching value types directly to avoid casting in the hot loop.
+// The vocabulary of paper section 5.5 shared by every skyline layer:
+// dimensions bound to row ordinals, the two dominance semantics, the
+// pairwise outcome and the test counters. The dominance test itself runs
+// over packed keys (skyline/columnar.h); the row-at-a-time definition lives
+// in skyline/reference.h as the oracle.
 #pragma once
 
 #include <atomic>
@@ -59,16 +61,6 @@ struct EarlyStopStats {
   std::atomic<int64_t> stops{0};
 };
 
-/// \brief Compares two rows on the given dimensions.
-///
-/// Complete semantics: `left` dominates `right` iff all DIFF dims are equal,
-/// left is at least as good in every MIN/MAX dim, and strictly better in at
-/// least one. Incomplete semantics restrict every check to dimensions where
-/// both sides are non-null.
-Dominance CompareRows(const Row& left, const Row& right,
-                      const std::vector<BoundDimension>& dims,
-                      NullSemantics nulls);
-
 /// \brief Bitmap with one bit per dimension, set where the row is NULL
 /// (paper section 5.7); rows with equal bitmaps form one partition within
 /// which dominance is transitive again.
@@ -77,8 +69,8 @@ uint32_t NullBitmap(const Row& row, const std::vector<BoundDimension>& dims);
 /// \brief Checked guard for the 32-dimension bitmap limit, enforced in all
 /// build types (NullBitmap itself only SL_DCHECKs, so a release-mode caller
 /// bypassing analysis validation could otherwise compute wrong bitmaps).
-/// Every Result-returning skyline algorithm calls this on entry; the
-/// analyzer additionally rejects >32 dimensions at validation time.
+/// The row-level skyline entry points call this on entry; the analyzer
+/// additionally rejects >32 dimensions at validation time.
 Status CheckDimensionLimit(const std::vector<BoundDimension>& dims);
 
 }  // namespace skyline

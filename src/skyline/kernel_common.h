@@ -1,5 +1,5 @@
-// Internals shared by the row-oriented (algorithms.cc) and columnar
-// (columnar.cc) skyline kernels: cooperative deadline checking and
+// Internals shared by the skyline kernels (columnar.cc) and the reference
+// implementations (reference.cc): cooperative deadline checking and
 // dominance-test accounting. Not part of the public skyline API.
 #pragma once
 

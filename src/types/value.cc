@@ -7,6 +7,19 @@
 
 namespace sparkline {
 
+namespace {
+
+/// Spark's total order over doubles: NaN equals NaN and sorts above every
+/// other value (+inf included); -0.0 equals 0.0.
+int CompareDoubles(double x, double y) {
+  if (x < y) return -1;
+  if (x > y) return 1;
+  if (x == y) return 0;
+  return std::isnan(x) ? (std::isnan(y) ? 0 : 1) : -1;
+}
+
+}  // namespace
+
 std::string DataType::ToString() const {
   switch (id_) {
     case TypeId::kBool:
@@ -96,13 +109,13 @@ bool Value::Equals(const Value& other) const {
       case TypeId::kInt64:
         return int_ == other.int_;
       case TypeId::kDouble:
-        return double_ == other.double_;
+        return CompareDoubles(double_, other.double_) == 0;
       case TypeId::kString:
         return string_ == other.string_;
     }
   }
   if (type().is_numeric() && other.type().is_numeric()) {
-    return ToDouble() == other.ToDouble();
+    return CompareDoubles(ToDouble(), other.ToDouble()) == 0;
   }
   return false;
 }
@@ -117,6 +130,9 @@ size_t Value::Hash() const {
       // Hash is consistent with Equals' numeric widening.
       return std::hash<double>()(static_cast<double>(int_));
     case TypeId::kDouble:
+      // Every NaN payload hashes alike (NaN == NaN under Equals); -0.0 and
+      // 0.0 already hash alike.
+      if (std::isnan(double_)) return 0x7ff8000000000000ull;
       return std::hash<double>()(double_);
     case TypeId::kString:
       return std::hash<std::string>()(string_);
@@ -136,17 +152,14 @@ int CompareValues(const Value& a, const Value& b) {
         int64_t x = a.int64_value(), y = b.int64_value();
         return x < y ? -1 : (x > y ? 1 : 0);
       }
-      case TypeId::kDouble: {
-        double x = a.double_value(), y = b.double_value();
-        return x < y ? -1 : (x > y ? 1 : 0);
-      }
+      case TypeId::kDouble:
+        return CompareDoubles(a.double_value(), b.double_value());
       case TypeId::kString:
         return a.string_value().compare(b.string_value());
     }
   }
   SL_DCHECK(a.type().is_numeric() && b.type().is_numeric());
-  double x = a.ToDouble(), y = b.ToDouble();
-  return x < y ? -1 : (x > y ? 1 : 0);
+  return CompareDoubles(a.ToDouble(), b.ToDouble());
 }
 
 int64_t EstimateRowBytes(const Row& row) {

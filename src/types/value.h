@@ -128,7 +128,8 @@ class Value {
   std::string ToString() const;
 
   /// Null-aware equality used for grouping and DISTINCT: NULL == NULL here.
-  /// Numerics compare after widening (1 == 1.0).
+  /// Numerics compare after widening (1 == 1.0) and follow CompareValues'
+  /// order: NaN == NaN, -0.0 == 0.0.
   bool Equals(const Value& other) const;
 
   /// Hash consistent with Equals.
@@ -155,8 +156,11 @@ class Value {
 
 /// \brief Three-way comparison of two non-null values of comparable types.
 ///
-/// Returns <0, 0, >0. This is the hot path of every dominance test; the
-/// caller (analysis) guarantees type compatibility, checked only in debug.
+/// Returns <0, 0, >0. Doubles follow Spark's total order: NaN equals NaN and
+/// is greater than every other value, +inf included; -0.0 equals 0.0. WHERE,
+/// ORDER BY, MIN/MAX, DISTINCT/GROUP BY and skyline dominance all use this
+/// one order. The caller (analysis) guarantees type compatibility, checked
+/// only in debug.
 int CompareValues(const Value& a, const Value& b);
 
 /// \brief A tuple. Row-oriented storage keeps the skyline operators simple

@@ -1,9 +1,10 @@
 // Tests for the columnar dominance subsystem (skyline/columnar.h): the
-// DominanceMatrix projection, the index-based kernels' equivalence with the
-// row kernels and the brute-force oracle, and the fallback conditions that
-// keep the fast path safe (huge BIGINTs, NaN, >32 dimensions, >16-dimension
-// grid cell keys).
+// DominanceMatrix projection and its exactness on every shape (rank-encoded
+// huge BIGINTs, NaN, VARCHAR), the index-based kernels' equivalence with the
+// brute-force oracle, and the guards that keep them sound (>32 dimensions,
+// >16-dimension grid cell keys).
 #include <cmath>
+#include <limits>
 #include <optional>
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include "common/cancellation.h"
 #include "common/rng.h"
 #include "skyline/columnar.h"
+#include "skyline/reference.h"
 
 namespace sparkline {
 namespace skyline {
@@ -101,12 +103,11 @@ TEST(DominanceMatrixTest, CompareMatchesCompareRows) {
                                    {1, SkylineGoal::kMax},
                                    {2, SkylineGoal::kDiff}};
   std::vector<Row> rows = RandomRows(80, 3, /*null_rate=*/0.0, 5, 21);
-  auto matrix = DominanceMatrix::TryBuild(rows, dims);
-  ASSERT_TRUE(matrix.has_value());
-  EXPECT_FALSE(matrix->has_nulls());
+  const DominanceMatrix matrix = DominanceMatrix::Build(rows, dims);
+  EXPECT_FALSE(matrix.has_nulls());
   for (uint32_t i = 0; i < rows.size(); ++i) {
     for (uint32_t j = 0; j < rows.size(); ++j) {
-      EXPECT_EQ(matrix->Compare(i, j, NullSemantics::kComplete),
+      EXPECT_EQ(matrix.Compare(i, j, NullSemantics::kComplete),
                 CompareRows(rows[i], rows[j], dims, NullSemantics::kComplete))
           << "rows " << i << " vs " << j;
     }
@@ -118,12 +119,11 @@ TEST(DominanceMatrixTest, IncompleteCompareMatchesCompareRows) {
                                    {1, SkylineGoal::kMax},
                                    {2, SkylineGoal::kMin}};
   std::vector<Row> rows = RandomRows(80, 3, /*null_rate=*/0.3, 4, 22);
-  auto matrix = DominanceMatrix::TryBuild(rows, dims);
-  ASSERT_TRUE(matrix.has_value());
+  const DominanceMatrix matrix = DominanceMatrix::Build(rows, dims);
   for (uint32_t i = 0; i < rows.size(); ++i) {
-    EXPECT_EQ(matrix->null_bitmap(i), NullBitmap(rows[i], dims));
+    EXPECT_EQ(matrix.null_bitmap(i), NullBitmap(rows[i], dims));
     for (uint32_t j = 0; j < rows.size(); ++j) {
-      EXPECT_EQ(matrix->Compare(i, j, NullSemantics::kIncomplete),
+      EXPECT_EQ(matrix.Compare(i, j, NullSemantics::kIncomplete),
                 CompareRows(rows[i], rows[j], dims, NullSemantics::kIncomplete));
     }
   }
@@ -136,41 +136,100 @@ TEST(DominanceMatrixTest, VarcharDiffUsesDictionaryCodes) {
   rows.push_back({Value::Double(1), Value::String("red")});
   rows.push_back({Value::Double(2), Value::String("red")});
   rows.push_back({Value::Double(0.5), Value::String("blue")});
-  auto matrix = DominanceMatrix::TryBuild(rows, dims);
-  ASSERT_TRUE(matrix.has_value());
+  const DominanceMatrix matrix = DominanceMatrix::Build(rows, dims);
   // Same color: plain MIN dominance; different color: incomparable.
-  EXPECT_EQ(matrix->Compare(0, 1, NullSemantics::kComplete),
+  EXPECT_EQ(matrix.Compare(0, 1, NullSemantics::kComplete),
             Dominance::kLeftDominates);
-  EXPECT_EQ(matrix->Compare(0, 2, NullSemantics::kComplete),
+  EXPECT_EQ(matrix.Compare(0, 2, NullSemantics::kComplete),
             Dominance::kIncomparable);
 }
 
-TEST(DominanceMatrixTest, RefusesHugeBigints) {
+/// Every ordered pair of rows compares in the matrix exactly as the
+/// reference CompareRows says, under both semantics.
+void ExpectCompareMatchesRows(const std::vector<Row>& rows,
+                              const std::vector<BoundDimension>& dims) {
+  const DominanceMatrix matrix = DominanceMatrix::Build(rows, dims);
+  for (uint32_t i = 0; i < rows.size(); ++i) {
+    for (uint32_t j = 0; j < rows.size(); ++j) {
+      for (const NullSemantics nulls :
+           {NullSemantics::kComplete, NullSemantics::kIncomplete}) {
+        if (nulls == NullSemantics::kComplete &&
+            (matrix.null_bitmap(i) | matrix.null_bitmap(j)) != 0) {
+          continue;
+        }
+        EXPECT_EQ(matrix.Compare(i, j, nulls),
+                  CompareRows(rows[i], rows[j], dims, nulls))
+            << RowToString(rows[i]) << " vs " << RowToString(rows[j]);
+      }
+    }
+  }
+}
+
+TEST(DominanceMatrixTest, HugeBigintsAreRankEncodedExactly) {
+  constexpr int64_t k53 = int64_t{1} << 53;
   std::vector<Row> rows;
-  rows.push_back({Value::Int64((int64_t{1} << 53) + 1)});
-  rows.push_back({Value::Int64(int64_t{1} << 53)});
-  // The two values are distinguishable as int64 but collapse as double, so
-  // the projection must refuse (callers then use the row kernels).
-  EXPECT_FALSE(DominanceMatrix::TryBuild(rows, MinDims(1)).has_value());
+  for (const int64_t v : {k53 + 1, k53, k53 - 1, -k53 - 1, -k53,
+                          std::numeric_limits<int64_t>::max(),
+                          std::numeric_limits<int64_t>::min(), int64_t{0},
+                          k53 + 1}) {
+    rows.push_back({Value::Int64(v), Value::Int64(v)});
+  }
+  // 2^53 + 1 and 2^53 collapse as doubles; ranks keep them apart.
+  const std::vector<BoundDimension> dims{{0, SkylineGoal::kMin},
+                                         {1, SkylineGoal::kMax}};
+  const DominanceMatrix matrix = DominanceMatrix::Build(rows, MinDims(1));
+  EXPECT_TRUE(matrix.rank_encoded(0));
+  EXPECT_FALSE(matrix.all_numeric_minmax());
+  EXPECT_EQ(matrix.Compare(1, 0, NullSemantics::kComplete),
+            Dominance::kLeftDominates);
+  EXPECT_EQ(matrix.Compare(0, 8, NullSemantics::kComplete), Dominance::kEqual);
+  ExpectCompareMatchesRows(rows, dims);
+  ExpectCompareMatchesRows(rows, {{0, SkylineGoal::kDiff}});
 }
 
-TEST(DominanceMatrixTest, RefusesNaN) {
-  std::vector<Row> rows{R({1.0}), R({std::nan("")})};
-  EXPECT_FALSE(DominanceMatrix::TryBuild(rows, MinDims(1)).has_value());
+TEST(DominanceMatrixTest, NaNIsTheGreatestDouble) {
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<Row> rows{R({1.0}),  R({std::nan("")}), R({inf}),  R({-inf}),
+                        R({-0.0}), R({0.0}),          R({-std::nan("")})};
+  const DominanceMatrix matrix = DominanceMatrix::Build(rows, MinDims(1));
+  EXPECT_TRUE(matrix.rank_encoded(0));
+  // MIN: +inf beats NaN, NaN ties NaN (any payload), -0.0 ties 0.0.
+  EXPECT_EQ(matrix.Compare(2, 1, NullSemantics::kComplete),
+            Dominance::kLeftDominates);
+  EXPECT_EQ(matrix.Compare(1, 6, NullSemantics::kComplete), Dominance::kEqual);
+  EXPECT_EQ(matrix.Compare(4, 5, NullSemantics::kComplete), Dominance::kEqual);
+  ExpectCompareMatchesRows(rows, MinDims(1));
+  ExpectCompareMatchesRows(rows, {{0, SkylineGoal::kMax}});
+  ExpectCompareMatchesRows(rows, {{0, SkylineGoal::kDiff}});
 }
 
-TEST(DominanceMatrixTest, RefusesTooManyDimensions) {
-  std::vector<Row> rows{R(std::vector<double>(33, 1.0))};
-  EXPECT_FALSE(DominanceMatrix::TryBuild(rows, MinDims(33)).has_value());
+TEST(DominanceMatrixTest, VarcharMinMaxIsRankEncoded) {
+  std::vector<Row> rows{{Value::String("pear"), Value::Double(1)},
+                        {Value::String("apple"), Value::Double(2)},
+                        {Value::String("fig"), Value::Null(DataType::Double())},
+                        {Value::String("apple"), Value::Double(0)}};
+  ExpectCompareMatchesRows(
+      rows, {{0, SkylineGoal::kMin}, {1, SkylineGoal::kMax}});
+  ExpectCompareMatchesRows(
+      rows, {{0, SkylineGoal::kMax}, {1, SkylineGoal::kMin}});
+}
+
+TEST(DominanceMatrixTest, RawColumnsStayRaw) {
+  // Only columns without an exact double key pay for ranks.
+  std::vector<Row> rows{{Value::Int64(int64_t{1} << 53), Value::Double(-0.5)},
+                        {Value::Int64(-(int64_t{1} << 53)), Value::Double(7)}};
+  const DominanceMatrix matrix = DominanceMatrix::Build(rows, MinDims(2));
+  EXPECT_FALSE(matrix.rank_encoded(0));
+  EXPECT_FALSE(matrix.rank_encoded(1));
+  EXPECT_TRUE(matrix.all_numeric_minmax());
 }
 
 TEST(DominanceMatrixTest, SmallBigintsAreExact) {
   std::vector<Row> rows;
   rows.push_back({Value::Int64(3), Value::Int64(7)});
   rows.push_back({Value::Int64(3), Value::Int64(9)});
-  auto matrix = DominanceMatrix::TryBuild(rows, MinDims(2));
-  ASSERT_TRUE(matrix.has_value());
-  EXPECT_EQ(matrix->Compare(0, 1, NullSemantics::kComplete),
+  const DominanceMatrix matrix = DominanceMatrix::Build(rows, MinDims(2));
+  EXPECT_EQ(matrix.Compare(0, 1, NullSemantics::kComplete),
             Dominance::kLeftDominates);
 }
 
@@ -220,64 +279,20 @@ INSTANTIATE_TEST_SUITE_P(
       return info.param.name;
     });
 
-TEST(ColumnarKernelTest, IndexBnlMatchesRowBnlExactly) {
-  // Not just set-equal: BNL's window policy is deterministic, so the
-  // columnar kernel must produce the same rows in the same order.
-  std::vector<Row> rows = RandomRows(250, 4, /*null_rate=*/0.0, 6, 5);
-  auto dims = MinDims(4);
-  SkylineOptions options;
-  auto matrix = DominanceMatrix::TryBuild(rows, dims);
-  ASSERT_TRUE(matrix.has_value());
-  auto indices = ColumnarBlockNestedLoop(*matrix, AllIndices(*matrix), options);
-  ASSERT_TRUE(indices.ok());
-  auto row_result = BlockNestedLoop(rows, dims, options);
-  ASSERT_TRUE(row_result.ok());
-  const std::vector<Row> materialized = MaterializeRows(rows, *indices);
-  ASSERT_EQ(materialized.size(), row_result->size());
-  for (size_t i = 0; i < materialized.size(); ++i) {
-    EXPECT_EQ(RowToString(materialized[i]), RowToString((*row_result)[i]));
-  }
-}
-
-TEST(ColumnarKernelTest, IncompletePipelineMatchesRowPipeline) {
+TEST(ColumnarKernelTest, IncompletePipelineMatchesOracle) {
   std::vector<Row> rows = RandomRows(300, 3, /*null_rate=*/0.25, 5, 31);
   auto dims = MinDims(3);
   SkylineOptions options;
   options.nulls = NullSemantics::kIncomplete;
 
-  // Local stage: bitmap-grouped BNL.
-  auto columnar_local =
+  // Local stage: bitmap-grouped BNL; global stage: all-pairs with deferred
+  // deletion over the local union (paper Lemma 5.1).
+  auto local =
       ColumnarSkyline(ColumnarKernel::kBlockNestedLoop, rows, dims, options);
-  ASSERT_TRUE(columnar_local.ok());
-  std::vector<Row> row_local;
-  for (auto& group : PartitionByNullBitmap(rows, dims)) {
-    auto local = BlockNestedLoop(group, dims, options);
-    ASSERT_TRUE(local.ok());
-    for (auto& r : *local) row_local.push_back(std::move(r));
-  }
-  EXPECT_EQ(Sorted(*columnar_local), Sorted(row_local));
-
-  // Global stage: all-pairs with deferred deletion.
-  auto columnar_global = ColumnarAllPairsSkyline(*columnar_local, dims, options);
-  ASSERT_TRUE(columnar_global.ok());
-  auto row_global = AllPairsIncomplete(row_local, dims, options);
-  ASSERT_TRUE(row_global.ok());
-  EXPECT_EQ(Sorted(*columnar_global), Sorted(*row_global));
-}
-
-TEST(ColumnarKernelTest, CountsDominanceTestsLikeRowBnl) {
-  std::vector<Row> rows = RandomRows(150, 3, /*null_rate=*/0.0, 10, 13);
-  auto dims = MinDims(3);
-  DominanceCounter row_counter, col_counter;
-  SkylineOptions row_options;
-  row_options.counter = &row_counter;
-  SkylineOptions col_options;
-  col_options.counter = &col_counter;
-  ASSERT_TRUE(BlockNestedLoop(rows, dims, row_options).ok());
-  ASSERT_TRUE(ColumnarSkyline(ColumnarKernel::kBlockNestedLoop, rows, dims,
-                              col_options)
-                  .ok());
-  EXPECT_EQ(row_counter.tests.load(), col_counter.tests.load());
+  ASSERT_TRUE(local.ok());
+  auto global = ColumnarAllPairsSkyline(*local, dims, options);
+  ASSERT_TRUE(global.ok());
+  EXPECT_EQ(Sorted(*global), Sorted(BruteForceSkyline(rows, dims, options)));
 }
 
 // Every columnar kernel — including the SFS early-stop scan, whose loop has
@@ -326,19 +341,10 @@ TEST(ColumnarKernelTest, EveryKernelHonorsCancelledToken) {
 
 // --- regression: grid cell-key overflow past 16 dimensions -----------------
 
-TEST(GridOverflowRegression, RowGridFallsBackBeyond16Dims) {
+TEST(GridOverflowRegression, ColumnarGridFallsBackBeyond16Dims) {
   // 17 dimensions * 4 bits = 68 bits: the cell key would silently wrap and
   // merge unrelated cells. The guard must fall back to BNL and keep the
   // result identical to brute force.
-  std::vector<Row> rows = RandomRows(128, 17, /*null_rate=*/0.0, 2, 99);
-  auto dims = MinDims(17);
-  SkylineOptions options;
-  auto grid = GridFilterSkyline(rows, dims, options);
-  ASSERT_TRUE(grid.ok());
-  EXPECT_EQ(Sorted(*grid), Sorted(BruteForceSkyline(rows, dims, options)));
-}
-
-TEST(GridOverflowRegression, ColumnarGridFallsBackBeyond16Dims) {
   std::vector<Row> rows = RandomRows(128, 17, /*null_rate=*/0.0, 2, 98);
   auto dims = MinDims(17);
   SkylineOptions options;
@@ -349,22 +355,24 @@ TEST(GridOverflowRegression, ColumnarGridFallsBackBeyond16Dims) {
 
 // --- regression: 32-dimension limit is a checked Status --------------------
 
-TEST(DimensionLimitTest, AlgorithmsReturnStatusBeyond32Dims) {
+TEST(DimensionLimitTest, RowEntriesReturnStatusBeyond32Dims) {
   std::vector<Row> rows{R(std::vector<double>(33, 1.0))};
   auto dims = MinDims(33);
-  EXPECT_FALSE(BlockNestedLoop(rows, dims, {}).ok());
-  EXPECT_FALSE(SortFilterSkyline(rows, dims, {}).ok());
-  EXPECT_FALSE(GridFilterSkyline(rows, dims, {}).ok());
-  EXPECT_FALSE(AllPairsIncomplete(rows, dims, {}).ok());
-  EXPECT_FALSE(ComputeSkyline(rows, dims, {}).ok());
-  EXPECT_EQ(BlockNestedLoop(rows, dims, {}).status().code(),
+  for (const ColumnarKernel kernel :
+       {ColumnarKernel::kBlockNestedLoop, ColumnarKernel::kSortFilterSkyline,
+        ColumnarKernel::kGridFilter}) {
+    EXPECT_EQ(ColumnarSkyline(kernel, rows, dims, {}).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(ColumnarAllPairsSkyline(rows, dims, {}).status().code(),
             StatusCode::kInvalidArgument);
 }
 
 TEST(DimensionLimitTest, Exactly32DimsStillWorks) {
   std::vector<Row> rows{R(std::vector<double>(32, 1.0)),
                         R(std::vector<double>(32, 2.0))};
-  auto result = BlockNestedLoop(rows, MinDims(32), {});
+  auto result =
+      ColumnarSkyline(ColumnarKernel::kBlockNestedLoop, rows, MinDims(32), {});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->size(), 1u);
 }
@@ -420,13 +428,12 @@ std::shared_ptr<std::vector<Row>> SharedRows(std::vector<Row> rows) {
 
 TEST(ColumnarBatchTest, ProjectSelectSliceDecodeRoundTrip) {
   auto rows = SharedRows(RandomRows(100, 3, /*null_rate=*/0.0, 8, 7));
-  auto batch = ColumnarBatch::Project(rows, MinDims(3));
-  ASSERT_TRUE(batch.has_value());
-  EXPECT_EQ(batch->num_rows(), 100u);
+  ColumnarBatch batch = ColumnarBatch::Project(rows, MinDims(3));
+  EXPECT_EQ(batch.num_rows(), 100u);
 
   // A survivor view decodes to exactly the selected backing rows, in order.
   std::vector<uint32_t> selection = {5, 17, 3, 99, 17};
-  ColumnarBatch view = batch->WithSelection(selection, /*score_sorted=*/false);
+  ColumnarBatch view = batch.WithSelection(selection, /*score_sorted=*/false);
   std::vector<Row> decoded = view.Decode();
   ASSERT_EQ(decoded.size(), selection.size());
   for (size_t i = 0; i < selection.size(); ++i) {
@@ -454,22 +461,20 @@ TEST(ColumnarBatchTest, ConcatMatchesRowGatherAndReprojection) {
   for (uint64_t seed = 1; seed <= 3; ++seed) {
     auto rows = SharedRows(RandomRows(40, 3, /*null_rate=*/0.2, 5, seed));
     for (const auto& r : *rows) gathered.push_back(r);
-    auto batch = ColumnarBatch::Project(rows, dims);
-    ASSERT_TRUE(batch.has_value());
-    parts.push_back(std::move(*batch));
+    ColumnarBatch batch = ColumnarBatch::Project(rows, dims);
+    parts.push_back(std::move(batch));
   }
   ColumnarBatch merged = ColumnarBatch::Concat(&parts);
   ASSERT_EQ(merged.num_rows(), gathered.size());
 
-  auto reference = DominanceMatrix::TryBuild(gathered, dims);
-  ASSERT_TRUE(reference.has_value());
+  const DominanceMatrix reference = DominanceMatrix::Build(gathered, dims);
   for (uint32_t i = 0; i < gathered.size(); ++i) {
     for (uint32_t j = 0; j < gathered.size(); ++j) {
       EXPECT_EQ(merged.matrix().Compare(i, j, NullSemantics::kIncomplete),
-                reference->Compare(i, j, NullSemantics::kIncomplete))
+                reference.Compare(i, j, NullSemantics::kIncomplete))
           << i << " vs " << j;
       EXPECT_EQ(merged.matrix().Compare(i, j, NullSemantics::kComplete),
-                reference->Compare(i, j, NullSemantics::kComplete));
+                reference.Compare(i, j, NullSemantics::kComplete));
     }
   }
   const std::vector<Row> decoded = merged.Decode();
@@ -478,8 +483,8 @@ TEST(ColumnarBatchTest, ConcatMatchesRowGatherAndReprojection) {
   }
 }
 
-TEST(ColumnarBatchTest, ConcatRemapsVarcharDictionaries) {
-  // The same string gets different codes in independently built matrices;
+TEST(ColumnarBatchTest, ConcatRemapsVarcharRanks) {
+  // The same string gets different ranks in independently built matrices;
   // concat must unify them so cross-partition DIFF equality still holds.
   std::vector<BoundDimension> dims{{0, SkylineGoal::kMin},
                                    {1, SkylineGoal::kDiff}};
@@ -487,12 +492,9 @@ TEST(ColumnarBatchTest, ConcatRemapsVarcharDictionaries) {
                            {Value::Double(2), Value::String("blue")}});
   auto part2 = SharedRows({{Value::Double(3), Value::String("blue")},
                            {Value::Double(0.5), Value::String("red")}});
-  auto b1 = ColumnarBatch::Project(part1, dims);
-  auto b2 = ColumnarBatch::Project(part2, dims);
-  ASSERT_TRUE(b1.has_value() && b2.has_value());
   std::vector<ColumnarBatch> parts;
-  parts.push_back(std::move(*b1));
-  parts.push_back(std::move(*b2));
+  parts.push_back(ColumnarBatch::Project(part1, dims));
+  parts.push_back(ColumnarBatch::Project(part2, dims));
   ColumnarBatch merged = ColumnarBatch::Concat(&parts);
 
   // Rows 0 ("red",1) vs 3 ("red",0.5): same color across partitions.
@@ -513,12 +515,11 @@ TEST(ColumnarBatchTest, ConcatInheritsSfsOrderAcrossParts) {
   for (uint64_t seed = 11; seed <= 13; ++seed) {
     auto rows = SharedRows(RandomRows(60, 3, /*null_rate=*/0.0, 9, seed));
     for (const auto& r : *rows) gathered.push_back(r);
-    auto batch = ColumnarBatch::Project(rows, dims);
-    ASSERT_TRUE(batch.has_value());
+    ColumnarBatch batch = ColumnarBatch::Project(rows, dims);
     auto sorted =
-        ColumnarSortFilterSkyline(batch->matrix(), batch->indices(), options);
+        ColumnarSortFilterSkyline(batch.matrix(), batch.indices(), options);
     ASSERT_TRUE(sorted.ok());
-    parts.push_back(batch->WithSelection(*sorted, /*score_sorted=*/true));
+    parts.push_back(batch.WithSelection(*sorted, /*score_sorted=*/true));
   }
   ColumnarBatch merged = ColumnarBatch::Concat(&parts);
   ASSERT_TRUE(merged.score_sorted());
@@ -533,20 +534,65 @@ TEST(ColumnarBatchTest, ConcatInheritsSfsOrderAcrossParts) {
       ColumnarSortFilterSkylinePresorted(merged.matrix(), view, options);
   ASSERT_TRUE(presorted.ok());
   EXPECT_EQ(Sorted(merged.WithSelection(*presorted, true).Decode()),
-            Sorted(*SortFilterSkyline(gathered, dims, options)));
+            Sorted(BruteForceSkyline(gathered, dims, options)));
+}
+
+TEST(ColumnarBatchTest, ConcatReRanksMixedEncodings) {
+  // Partition 1 holds small BIGINTs (raw keys), partition 2 values beyond
+  // 2^53 and partition 3 another disjoint set of them (each rank-encoded
+  // on its own), with NULLs: the gather must re-rank every part into one
+  // order and behave exactly like one matrix over the gathered rows.
+  constexpr int64_t k53 = int64_t{1} << 53;
+  const std::vector<BoundDimension> dims{{0, SkylineGoal::kMin},
+                                         {1, SkylineGoal::kMax},
+                                         {2, SkylineGoal::kDiff}};
+  const std::vector<std::vector<int64_t>> values = {
+      {3, -7, 3, k53, -k53},
+      {k53 + 1, k53 + 3, -k53 - 1, std::numeric_limits<int64_t>::max(), 3},
+      {k53 + 2, std::numeric_limits<int64_t>::min(), k53 + 2, -k53 - 2, 0}};
+  std::vector<ColumnarBatch> parts;
+  std::vector<Row> gathered;
+  for (size_t p = 0; p < values.size(); ++p) {
+    std::vector<Row> rows;
+    for (size_t i = 0; i < values[p].size(); ++i) {
+      const int64_t v = values[p][i];
+      const int64_t w = values[p][(i + 1) % values[p].size()];
+      rows.push_back({Value::Int64(v),
+                      i == 2 ? Value::Null(DataType::Int64()) : Value::Int64(w),
+                      Value::Int64(v % 2)});
+    }
+    gathered.insert(gathered.end(), rows.begin(), rows.end());
+    ColumnarBatch batch = ColumnarBatch::Project(SharedRows(rows), dims);
+    // A view that skips a row: only selected values enter the new ranks.
+    std::vector<uint32_t> view = {0, 1, 2, 4};
+    parts.push_back(batch.WithSelection(view, /*score_sorted=*/false));
+    gathered.erase(gathered.end() - 2);
+  }
+  ColumnarBatch merged = ColumnarBatch::Concat(&parts);
+  ASSERT_EQ(merged.num_rows(), gathered.size());
+  EXPECT_TRUE(merged.matrix().rank_encoded(0));
+  EXPECT_FALSE(merged.score_sorted());
+  EXPECT_TRUE(std::isinf(merged.stop_bound()));
+  for (uint32_t i = 0; i < gathered.size(); ++i) {
+    for (uint32_t j = 0; j < gathered.size(); ++j) {
+      EXPECT_EQ(merged.matrix().Compare(i, j, NullSemantics::kIncomplete),
+                CompareRows(gathered[i], gathered[j], dims,
+                            NullSemantics::kIncomplete))
+          << RowToString(gathered[i]) << " vs " << RowToString(gathered[j]);
+    }
+  }
 }
 
 TEST(ColumnarBatchTest, MatrixMemoryChargedForBatchLifetime) {
   MemoryTracker tracker;
   auto rows = SharedRows(RandomRows(200, 4, /*null_rate=*/0.1, 6, 17));
   {
-    auto batch = ColumnarBatch::Project(rows, MinDims(4), &tracker);
-    ASSERT_TRUE(batch.has_value());
-    EXPECT_GT(batch->matrix().MemoryBytes(), 0);
-    EXPECT_GE(tracker.current_bytes(), batch->matrix().MemoryBytes());
+    ColumnarBatch batch = ColumnarBatch::Project(rows, MinDims(4), &tracker);
+    EXPECT_GT(batch.matrix().MemoryBytes(), 0);
+    EXPECT_GE(tracker.current_bytes(), batch.matrix().MemoryBytes());
     // Views share the reservation: copying them must not double-charge.
-    ColumnarBatch view = batch->WithSelection({1, 2, 3}, false);
-    EXPECT_EQ(tracker.current_bytes(), batch->matrix().MemoryBytes());
+    ColumnarBatch view = batch.WithSelection({1, 2, 3}, false);
+    EXPECT_EQ(tracker.current_bytes(), batch.matrix().MemoryBytes());
   }
   EXPECT_EQ(tracker.current_bytes(), 0) << "reservation must die with the batch";
 }
@@ -615,32 +661,6 @@ TEST(SfsEarlyStop, SkipsMostRowsOnCorrelatedData) {
       << "the minC stop point must skip >1/3 of a correlated input";
 }
 
-TEST(SfsEarlyStop, RowKernelMatchesColumnarAndSkips) {
-  // All-MIN goals: with a MAX goal mixed in, a correlated generator is
-  // anti-correlated in normalized space and the stop (correctly) never
-  // fires. Goal mixes are covered by the equivalence sweep above.
-  const std::vector<Row> rows = CorrelatedRows(1500, 3, 23);
-  const auto dims = MinDims(3);
-  for (const SfsSortKey key : {SfsSortKey::kSum, SfsSortKey::kMinMax}) {
-    EarlyStopStats row_stats;
-    SkylineOptions options;
-    options.sfs_sort_key = key;
-    options.early_stop = &row_stats;
-    auto row_result = SortFilterSkyline(rows, dims, options);
-    ASSERT_TRUE(row_result.ok());
-    EXPECT_EQ(Sorted(*row_result),
-              Sorted(SfsWith(rows, dims, /*early_stop=*/true, key, false)));
-    if (key == SfsSortKey::kMinMax) {
-      EXPECT_GT(row_stats.rows_skipped.load(), 0)
-          << "the row kernel must stop early on correlated data too";
-    }
-    options.sfs_early_stop = false;
-    auto full = SortFilterSkyline(rows, dims, options);
-    ASSERT_TRUE(full.ok());
-    EXPECT_EQ(Sorted(*row_result), Sorted(*full));
-  }
-}
-
 TEST(SfsEarlyStop, AutoDisabledOnNullBitmaps) {
   // NULL key slots hold placeholders, so coordinate bounds are unsound;
   // the stop must silently disable itself (stats stay zero) while the SFS
@@ -648,58 +668,51 @@ TEST(SfsEarlyStop, AutoDisabledOnNullBitmaps) {
   std::vector<Row> rows = CorrelatedRows(500, 3, 31);
   rows[497][1] = Value::Null(DataType::Double());
   const auto dims = MinDims(3);
-  auto matrix = DominanceMatrix::TryBuild(rows, dims);
-  ASSERT_TRUE(matrix.has_value());
-  ASSERT_TRUE(matrix->has_nulls());
+  const DominanceMatrix matrix = DominanceMatrix::Build(rows, dims);
+  ASSERT_TRUE(matrix.has_nulls());
   EarlyStopStats stats;
   SkylineOptions options;
   options.sfs_early_stop = true;
   options.sfs_sort_key = SfsSortKey::kMinMax;
   options.early_stop = &stats;
   auto result =
-      ColumnarSortFilterSkyline(*matrix, AllIndices(*matrix), options);
+      ColumnarSortFilterSkyline(matrix, AllIndices(matrix), options);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(stats.stops.load(), 0);
   EXPECT_EQ(stats.rows_skipped.load(), 0);
-
-  // Row kernel: same auto-disable on NULL input.
-  auto row_result = SortFilterSkyline(rows, dims, options);
-  ASSERT_TRUE(row_result.ok());
-  EXPECT_EQ(stats.stops.load(), 0);
 }
 
 TEST(SfsEarlyStop, PresortedPassInheritsStopBound) {
   const std::vector<Row> rows = CorrelatedRows(1200, 4, 43);
   const auto dims = MinDims(4);
-  auto matrix = DominanceMatrix::TryBuild(rows, dims);
-  ASSERT_TRUE(matrix.has_value());
+  const DominanceMatrix matrix = DominanceMatrix::Build(rows, dims);
 
   SkylineOptions options;
   options.sfs_sort_key = SfsSortKey::kMinMax;
   auto baseline =
-      ColumnarSortFilterSkyline(*matrix, AllIndices(*matrix), options);
+      ColumnarSortFilterSkyline(matrix, AllIndices(matrix), options);
   ASSERT_TRUE(baseline.ok());
-  const double bound = ComputeStopBound(*matrix, *baseline);
+  const double bound = ComputeStopBound(matrix, *baseline);
   ASSERT_TRUE(std::isfinite(bound));
 
   // Presort by (MinKey, Score) — the kMinMax order the presorted pass
   // expects — then run it with the inherited bound: the result must be
   // identical and the bound must skip rows before the pass's own window
   // could have tightened minC.
-  std::vector<uint32_t> ordered = AllIndices(*matrix);
+  std::vector<uint32_t> ordered = AllIndices(matrix);
   std::stable_sort(ordered.begin(), ordered.end(),
                    [&](uint32_t a, uint32_t b) {
-                     const double ma = matrix->MinKey(a);
-                     const double mb = matrix->MinKey(b);
+                     const double ma = matrix.MinKey(a);
+                     const double mb = matrix.MinKey(b);
                      if (ma != mb) return ma < mb;
-                     return matrix->Score(a) < matrix->Score(b);
+                     return matrix.Score(a) < matrix.Score(b);
                    });
   EarlyStopStats stats;
   SkylineOptions inherited = options;
   inherited.sfs_stop_bound = bound;
   inherited.early_stop = &stats;
   auto presorted =
-      ColumnarSortFilterSkylinePresorted(*matrix, ordered, inherited);
+      ColumnarSortFilterSkylinePresorted(matrix, ordered, inherited);
   ASSERT_TRUE(presorted.ok());
   EXPECT_EQ(Sorted(MaterializeRows(rows, *baseline)),
             Sorted(MaterializeRows(rows, *presorted)));
@@ -716,14 +729,13 @@ TEST(SfsEarlyStop, StopBoundSurvivesConcat) {
   std::vector<ColumnarBatch> parts;
   std::vector<double> bounds;
   for (const auto& rows : {part_rows_a, part_rows_b}) {
-    auto batch = ColumnarBatch::Project(rows, dims);
-    ASSERT_TRUE(batch.has_value());
-    auto survivors = ColumnarSortFilterSkyline(batch->matrix(),
-                                               batch->indices(), options);
+    ColumnarBatch batch = ColumnarBatch::Project(rows, dims);
+    auto survivors = ColumnarSortFilterSkyline(batch.matrix(),
+                                               batch.indices(), options);
     ASSERT_TRUE(survivors.ok());
-    const double bound = ComputeStopBound(batch->matrix(), *survivors);
+    const double bound = ComputeStopBound(batch.matrix(), *survivors);
     bounds.push_back(bound);
-    parts.push_back(batch->WithSelection(std::move(*survivors), true,
+    parts.push_back(batch.WithSelection(std::move(*survivors), true,
                                          SfsSortKey::kSum, bound));
   }
   ColumnarBatch merged = ColumnarBatch::Concat(&parts);
@@ -739,17 +751,16 @@ TEST(MergeByScoreTest, EqualKeysReproduceGlobalStableSortOrder) {
   // one global stable sort over the concatenated input.
   std::vector<Row> rows = RandomRows(240, 2, /*null_rate=*/0.0, 3, 91);
   const auto dims = MinDims(2);
-  auto matrix = DominanceMatrix::TryBuild(rows, dims);
-  ASSERT_TRUE(matrix.has_value());
+  const DominanceMatrix matrix = DominanceMatrix::Build(rows, dims);
 
   for (const SfsSortKey key : {SfsSortKey::kSum, SfsSortKey::kMinMax}) {
     auto key_less = [&](uint32_t a, uint32_t b) {
       if (key == SfsSortKey::kMinMax) {
-        const double ma = matrix->MinKey(a);
-        const double mb = matrix->MinKey(b);
+        const double ma = matrix.MinKey(a);
+        const double mb = matrix.MinKey(b);
         if (ma != mb) return ma < mb;
       }
-      return matrix->Score(a) < matrix->Score(b);
+      return matrix.Score(a) < matrix.Score(b);
     };
     // Three contiguous runs in input order, each sorted by the key.
     std::vector<std::vector<uint32_t>> runs;
@@ -759,9 +770,9 @@ TEST(MergeByScoreTest, EqualKeysReproduceGlobalStableSortOrder) {
       std::stable_sort(run.begin(), run.end(), key_less);
       runs.push_back(std::move(run));
     }
-    const std::vector<uint32_t> merged = MergeByScore(*matrix, runs, key);
+    const std::vector<uint32_t> merged = MergeByScore(matrix, runs, key);
 
-    std::vector<uint32_t> global = AllIndices(*matrix);
+    std::vector<uint32_t> global = AllIndices(matrix);
     std::stable_sort(global.begin(), global.end(), key_less);
     EXPECT_EQ(merged, global)
         << "ties must keep input (run) order, key=" << static_cast<int>(key);
@@ -774,8 +785,7 @@ class ColumnarKernelDeadline : public ::testing::Test {
  protected:
   void SetUp() override {
     rows_ = AntiCorrelatedRows(600, 4, 3);
-    matrix_ = DominanceMatrix::TryBuild(rows_, MinDims(4));
-    ASSERT_TRUE(matrix_.has_value());
+    matrix_ = DominanceMatrix::Build(rows_, MinDims(4));
     // A deadline in the past: the kernels' batched checker trips on its
     // first clock read (after at most 1024 ticks).
     expired_.deadline_nanos = 1;

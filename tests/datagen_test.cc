@@ -6,7 +6,7 @@
 
 #include "datagen/csv.h"
 #include "datagen/datagen.h"
-#include "skyline/algorithms.h"
+#include "skyline/reference.h"
 #include "test_util.h"
 
 namespace sparkline {

@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "skyline/dominance.h"
+#include "skyline/reference.h"
 
 namespace sparkline {
 namespace skyline {

@@ -37,20 +37,24 @@ struct ChaosConfig {
 
 std::vector<ChaosConfig> SweepConfigs() {
   return {
-      {"bnl-columnar-exchange",
-       {{"sparkline.skyline.kernel", "bnl"},
-        {"sparkline.skyline.exchange.columnar", "true"}},
+      {"bnl-distributed",
+       {{"sparkline.skyline.kernel", "bnl"}},
        "SELECT * FROM pts SKYLINE OF d0 MIN, d1 MAX, d2 MIN"},
-      {"sfs-row-exchange",
+      {"sfs-distributed",
+       {{"sparkline.skyline.kernel", "sfs"}},
+       "SELECT * FROM pts SKYLINE OF d0 MIN, d1 MAX, d2 MIN"},
+      // Row input to the global stage: its "[project]" stage builds the
+      // matrix the partial and merge stages share.
+      {"sfs-non-distributed",
        {{"sparkline.skyline.kernel", "sfs"},
-        {"sparkline.skyline.exchange.columnar", "false"}},
+        {"sparkline.skyline.strategy", "non_distributed"}},
        "SELECT * FROM pts SKYLINE OF d0 MIN, d1 MAX, d2 MIN"},
       {"grid-angle-partitioning",
        {{"sparkline.skyline.kernel", "grid"},
         {"sparkline.skyline.partitioning", "angle"}},
        "SELECT * FROM pts SKYLINE OF d0 MIN, d1 MIN, d2 MIN"},
       {"incomplete-parallel",
-       {{"sparkline.skyline.incomplete.parallel", "true"}},
+       {{"sparkline.skyline.strategy", "incomplete"}},
        "SELECT * FROM sparse SKYLINE OF d0 MIN, d1 MIN, d2 MIN",
        /*incomplete_data=*/true},
   };

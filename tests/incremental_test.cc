@@ -27,6 +27,7 @@
 #include "common/rng.h"
 #include "datagen/datagen.h"
 #include "serve/incremental.h"
+#include "skyline/reference.h"
 #include "test_util.h"
 
 namespace sparkline {
@@ -44,19 +45,14 @@ TablePtr CopySnapshot(const TablePtr& src) {
 }
 
 // Fresh-execution oracle: a throwaway session (cache off by default) over a
-// copy of the given snapshot. The engine config must mirror the session
-// under test — a declared-COMPLETE skyline over data that does contain
-// NULLs is a broken user promise, and the kernels make no cross-config
-// guarantee for it — so the differential check isolates the cache, not
-// kernel choice.
+// copy of the given snapshot. Its engine config is the default, like the
+// sessions under test — a declared-COMPLETE skyline over data that does
+// contain NULLs is a broken user promise, and the kernels make no
+// cross-config guarantee for it — so the differential check isolates the
+// cache, not kernel choice.
 std::vector<std::string> OracleRows(const TablePtr& snapshot,
-                                    const std::string& sql,
-                                    bool columnar = true) {
+                                    const std::string& sql) {
   Session oracle;
-  SL_CHECK_OK(oracle.SetConf("sparkline.skyline.exchange.columnar",
-                             columnar ? "true" : "false"));
-  SL_CHECK_OK(oracle.SetConf("sparkline.skyline.columnar",
-                             columnar ? "true" : "false"));
   oracle.catalog()->RegisterOrReplaceTable(CopySnapshot(snapshot));
   return RowStrings(Rows(&oracle, sql));
 }
@@ -73,20 +69,15 @@ struct HarnessTotals {
 
 // One seeded schedule: ~16 interleaved insert/query ops over a generated
 // points table, every query result checked against the oracle.
-void RunSchedule(uint64_t seed, bool complete_data, bool columnar,
-                 HarnessTotals* totals) {
+void RunSchedule(uint64_t seed, bool complete_data, HarnessTotals* totals) {
   SCOPED_TRACE(::testing::Message()
-               << "seed=" << seed << " complete=" << complete_data
-               << " columnar=" << columnar);
-  Rng rng(seed * 7919 + complete_data * 2 + columnar);
+               << "seed=" << seed << " complete=" << complete_data);
+  // The "+ 1" keeps the schedules the former columnar-on half generated.
+  Rng rng(seed * 7919 + complete_data * 2 + 1);
 
   Session session;
   ASSERT_OK(session.SetConf("sparkline.cache.enabled", "true"));
   ASSERT_OK(session.SetConf("sparkline.cache.incremental", "true"));
-  ASSERT_OK(session.SetConf("sparkline.skyline.exchange.columnar",
-                            columnar ? "true" : "false"));
-  ASSERT_OK(session.SetConf("sparkline.skyline.columnar",
-                            columnar ? "true" : "false"));
 
   const double null_rate = complete_data ? 0.0 : 0.25;
   const size_t num_rows = 24 + static_cast<size_t>(rng.UniformInt(0, 16));
@@ -147,7 +138,7 @@ void RunSchedule(uint64_t seed, bool complete_data, bool columnar,
       ASSERT_OK_AND_ASSIGN(TablePtr snapshot,
                            session.catalog()->GetTable("t"));
       // The differential check: stale answers are impossible, hit or miss.
-      ASSERT_EQ(RowStrings(result.rows()), OracleRows(snapshot, sql, columnar))
+      ASSERT_EQ(RowStrings(result.rows()), OracleRows(snapshot, sql))
           << sql;
       ++totals->queries;
       if (result.metrics.cache_hit) {
@@ -176,17 +167,14 @@ void RunSchedule(uint64_t seed, bool complete_data, bool columnar,
 }
 
 TEST(IncrementalDifferentialTest, MixedWorkloadSchedulesMatchOracle) {
-  // 60 seeds x {complete, incomplete} x {columnar on, off} = 240 schedules.
+  // 60 seeds x {complete, incomplete} = 120 schedules.
   HarnessTotals complete_totals;
   HarnessTotals incomplete_totals;
   for (uint64_t seed = 0; seed < 60; ++seed) {
-    for (bool columnar : {false, true}) {
-      RunSchedule(seed, /*complete_data=*/true, columnar, &complete_totals);
-      if (::testing::Test::HasFatalFailure()) return;
-      RunSchedule(seed, /*complete_data=*/false, columnar,
-                  &incomplete_totals);
-      if (::testing::Test::HasFatalFailure()) return;
-    }
+    RunSchedule(seed, /*complete_data=*/true, &complete_totals);
+    if (::testing::Test::HasFatalFailure()) return;
+    RunSchedule(seed, /*complete_data=*/false, &incomplete_totals);
+    if (::testing::Test::HasFatalFailure()) return;
   }
   // The harness must actually exercise the maintained path, not just pass
   // vacuously: complete-data schedules serve delta-maintained hits.
@@ -519,6 +507,46 @@ TEST_F(IncrementalSessionTest, SubscribeDeliversInitialAndIncrementalDeltas) {
   std::lock_guard<std::mutex> lock(mu);
   EXPECT_EQ(deltas.size(), 3u);
   EXPECT_GT(session_->maintainer()->stats().deltas_delivered, 0);
+}
+
+// The initial delivery (and every resync) recomputes the whole table's
+// skyline; on a few thousand anti-correlated rows it must equal the
+// brute-force oracle, DISTINCT and WHERE included.
+TEST_F(IncrementalSessionTest, SubscribeResyncMatchesOracleOnLargeTable) {
+  TablePtr table = datagen::GeneratePoints(
+      "big", 3000, 3, datagen::PointDistribution::kAntiCorrelated,
+      /*seed=*/77, 0.0);
+  ASSERT_OK(session_->catalog()->RegisterTable(table));
+  const std::vector<skyline::BoundDimension> dims{
+      {1, SkylineGoal::kMin}, {2, SkylineGoal::kMax}, {3, SkylineGoal::kMin}};
+  std::vector<Row> filtered;
+  for (const Row& row : table->rows()) {
+    if (row[1].double_value() < 0.8) filtered.push_back(row);
+  }
+  skyline::SkylineOptions distinct;
+  distinct.distinct = true;
+  const struct {
+    const char* sql;
+    std::vector<Row> oracle;
+  } cases[] = {
+      {"SELECT * FROM big SKYLINE OF d0 MIN, d1 MAX, d2 MIN",
+       skyline::BruteForceSkyline(table->rows(), dims, {})},
+      {"SELECT * FROM big WHERE d0 < 0.8 SKYLINE OF DISTINCT d0 MIN, d1 MAX, "
+       "d2 MIN",
+       skyline::BruteForceSkyline(filtered, dims, distinct)},
+  };
+  for (const auto& c : cases) {
+    std::vector<Row> added;
+    ASSERT_OK(session_
+                  ->Subscribe(c.sql,
+                              [&](const serve::SkylineDelta& d) {
+                                added.insert(added.end(), d.added.begin(),
+                                             d.added.end());
+                              })
+                  .status());
+    ASSERT_FALSE(c.oracle.empty());
+    EXPECT_EQ(RowStrings(added), RowStrings(c.oracle)) << c.sql;
+  }
 }
 
 TEST_F(IncrementalSessionTest, SubscribeRejectsUnsoundShapes) {

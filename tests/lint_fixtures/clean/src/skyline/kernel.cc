@@ -7,7 +7,7 @@ int CheckedBlockScan(const Block& block, const SkylineOptions& options) {
   for (size_t i = 0; i < block.size(); ++i) {
     if (!deadline.Check().ok()) return survivors;
     for (size_t j = 0; j < block.size(); ++j) {
-      if (CompareRows(block[i], block[j]) == Dominance::kDominates) {
+      if (block.matrix().Compare(i, j) == Dominance::kLeftDominates) {
         ++survivors;
       }
     }

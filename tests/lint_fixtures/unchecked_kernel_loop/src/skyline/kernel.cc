@@ -8,7 +8,7 @@ int UncheckedBlockScan(const Block& block) {
   int survivors = 0;
   for (size_t i = 0; i < block.size(); ++i) {
     for (size_t j = 0; j < block.size(); ++j) {
-      if (CompareRows(block[i], block[j]) == Dominance::kDominates) {
+      if (block.matrix().Compare(i, j) == Dominance::kLeftDominates) {
         ++survivors;
       }
     }

@@ -1,14 +1,14 @@
 // The configuration matrix test: every combination of execution strategy,
-// kernel, dominance representation (row vs. columnar), partitioning scheme
-// and executor count must produce the identical skyline — and that skyline
-// must equal the brute-force oracle computed directly from the table. This
-// is the strongest single correctness statement the engine makes — no
-// physical-plan knob may change results.
+// kernel, partitioning scheme, pruning phase and executor count must produce
+// the identical skyline — and that skyline must equal the brute-force oracle
+// computed directly from the table. This is the strongest single
+// correctness statement the engine makes — no physical-plan knob may change
+// results.
 #include <gtest/gtest.h>
 
 #include "common/string_util.h"
 #include "datagen/datagen.h"
-#include "skyline/algorithms.h"
+#include "skyline/reference.h"
 #include "test_util.h"
 
 namespace sparkline {
@@ -71,64 +71,58 @@ TEST_P(ConfigMatrix, AllConfigurationsAgreeWithBruteForce) {
   };
 
   int combinations = 0;
-  const std::vector<const char*> strategies =
+  // The Listing-4 rewrite (strategy=reference) keeps the native node for
+  // DISTINCT, so it only joins the incomplete sweep where it really runs.
+  std::vector<const char*> strategies =
       incomplete ? std::vector<const char*>{"auto", "incomplete"}
                  : std::vector<const char*>{"auto", "distributed",
                                             "non_distributed", "incomplete",
                                             "reference"};
+  if (incomplete && !param.distinct) strategies.push_back("reference");
   for (const char* strategy : strategies) {
     for (const KernelConfig& kernel : kernels) {
-      for (const char* columnar : {"true", "false"}) {
-        for (const char* exchange : {"true", "false"}) {
-          for (const char* partitioning : {"asis", "roundrobin", "angle"}) {
-            for (const char* executors : {"1", "3", "8"}) {
-              // Two-phase pruning axes (broadcast filter × zone maps): both
-              // phases claim bit-identical results, so they join the full
-              // cross rather than getting their own narrower sweep.
-              const std::pair<const char*, const char*> pruning_axis[] = {
-                  {"true", "true"},
-                  {"true", "false"},
-                  {"false", "true"},
-                  {"false", "false"}};
-              for (const auto& pruning : pruning_axis) {
-                ASSERT_OK(
-                    session.SetConf("sparkline.skyline.strategy", strategy));
-                ASSERT_OK(
-                    session.SetConf("sparkline.skyline.kernel", kernel.kernel));
-                ASSERT_OK(session.SetConf("sparkline.skyline.sfs.early_stop",
-                                          kernel.early_stop));
-                ASSERT_OK(session.SetConf("sparkline.skyline.sfs.sort_key",
-                                          kernel.sort_key));
-                ASSERT_OK(
-                    session.SetConf("sparkline.skyline.columnar", columnar));
-                ASSERT_OK(session.SetConf("sparkline.skyline.exchange.columnar",
-                                          exchange));
-                ASSERT_OK(session.SetConf("sparkline.skyline.partitioning",
-                                          partitioning));
-                ASSERT_OK(session.SetConf("sparkline.executors", executors));
-                ASSERT_OK(session.SetConf("sparkline.skyline.broadcast_filter",
-                                          pruning.first));
-                ASSERT_OK(session.SetConf("sparkline.scan.zone_maps",
-                                          pruning.second));
-                auto rows = RowStrings(Rows(&session, query));
-                ASSERT_EQ(expected, rows)
-                    << "strategy=" << strategy << " kernel=" << kernel.kernel
-                    << " early_stop=" << kernel.early_stop
-                    << " sort_key=" << kernel.sort_key
-                    << " columnar=" << columnar << " exchange=" << exchange
-                    << " partitioning=" << partitioning
-                    << " executors=" << executors
-                    << " broadcast_filter=" << pruning.first
-                    << " zone_maps=" << pruning.second;
-                ++combinations;
-              }
-            }
+      for (const char* partitioning : {"asis", "roundrobin", "angle"}) {
+        for (const char* executors : {"1", "3", "8"}) {
+          // Two-phase pruning axes (broadcast filter × zone maps): both
+          // phases claim bit-identical results, so they join the full
+          // cross rather than getting their own narrower sweep.
+          const std::pair<const char*, const char*> pruning_axis[] = {
+              {"true", "true"},
+              {"true", "false"},
+              {"false", "true"},
+              {"false", "false"}};
+          for (const auto& pruning : pruning_axis) {
+            ASSERT_OK(session.SetConf("sparkline.skyline.strategy", strategy));
+            ASSERT_OK(
+                session.SetConf("sparkline.skyline.kernel", kernel.kernel));
+            ASSERT_OK(session.SetConf("sparkline.skyline.sfs.early_stop",
+                                      kernel.early_stop));
+            ASSERT_OK(session.SetConf("sparkline.skyline.sfs.sort_key",
+                                      kernel.sort_key));
+            ASSERT_OK(session.SetConf("sparkline.skyline.partitioning",
+                                      partitioning));
+            ASSERT_OK(session.SetConf("sparkline.executors", executors));
+            ASSERT_OK(session.SetConf("sparkline.skyline.broadcast_filter",
+                                      pruning.first));
+            ASSERT_OK(
+                session.SetConf("sparkline.scan.zone_maps", pruning.second));
+            auto rows = RowStrings(Rows(&session, query));
+            ASSERT_EQ(expected, rows)
+                << "strategy=" << strategy << " kernel=" << kernel.kernel
+                << " early_stop=" << kernel.early_stop
+                << " sort_key=" << kernel.sort_key
+                << " partitioning=" << partitioning
+                << " executors=" << executors
+                << " broadcast_filter=" << pruning.first
+                << " zone_maps=" << pruning.second;
+            ++combinations;
           }
         }
       }
     }
   }
-  EXPECT_GE(combinations, 2 * 6 * 2 * 2 * 3 * 3 * 4);
+  // strategies × kernels × partitionings × executor counts × pruning.
+  EXPECT_GE(combinations, 2 * 6 * 3 * 3 * 4);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -139,11 +133,10 @@ INSTANTIATE_TEST_SUITE_P(
                       MatrixCase{"incomplete", 3, false},
                       MatrixCase{"incomplete", 3, true}));
 
-// The round-based parallel incomplete global stage: sweeping
-// sparkline.skyline.incomplete.parallel on/off (crossed with row/columnar
-// and several executor counts, including one chunk per tuple) on NULL-heavy
-// data must always reproduce the brute-force oracle — the rotation rounds
-// may not change results under non-transitive dominance.
+// The round-based parallel incomplete global stage: sweeping the executor
+// count (including one chunk per tuple) on NULL-heavy data must always
+// reproduce the brute-force oracle — the rotation rounds may not change
+// results under non-transitive dominance.
 struct IncompleteParallelCase {
   size_t rows;
   size_t dims;
@@ -186,34 +179,21 @@ TEST_P(IncompleteParallel, MatchesBruteForceOracle) {
   // all work happens in the validation rounds).
   const std::vector<std::string> executor_counts = {
       "1", "2", "3", "8", std::to_string(param.rows)};
-  for (const char* parallel : {"true", "false"}) {
-    for (const char* columnar : {"true", "false"}) {
-      for (const char* exchange : {"true", "false"}) {
-        for (const std::string& executors : executor_counts) {
-          // The two-phase pruning flags must be inert here: zone-map
-          // skipping and the broadcast filter are complete-dominance-only
-          // optimizations and auto-disable under incomplete semantics.
-          const std::pair<const char*, const char*> pruning_axis[] = {
-              {"true", "true"}, {"false", "false"}};
-          for (const auto& pruning : pruning_axis) {
-            ASSERT_OK(session.SetConf("sparkline.skyline.incomplete.parallel",
-                                      parallel));
-            ASSERT_OK(session.SetConf("sparkline.skyline.columnar", columnar));
-            ASSERT_OK(session.SetConf("sparkline.skyline.exchange.columnar",
-                                      exchange));
-            ASSERT_OK(session.SetConf("sparkline.executors", executors));
-            ASSERT_OK(session.SetConf("sparkline.skyline.broadcast_filter",
-                                      pruning.first));
-            ASSERT_OK(
-                session.SetConf("sparkline.scan.zone_maps", pruning.second));
-            ASSERT_EQ(expected, RowStrings(Rows(&session, query)))
-                << "parallel=" << parallel << " columnar=" << columnar
-                << " exchange=" << exchange << " executors=" << executors
-                << " broadcast_filter=" << pruning.first
-                << " zone_maps=" << pruning.second;
-          }
-        }
-      }
+  for (const std::string& executors : executor_counts) {
+    // The two-phase pruning flags must be inert here: zone-map skipping and
+    // the broadcast filter are complete-dominance-only optimizations and
+    // auto-disable under incomplete semantics.
+    const std::pair<const char*, const char*> pruning_axis[] = {
+        {"true", "true"}, {"false", "false"}};
+    for (const auto& pruning : pruning_axis) {
+      ASSERT_OK(session.SetConf("sparkline.executors", executors));
+      ASSERT_OK(
+          session.SetConf("sparkline.skyline.broadcast_filter", pruning.first));
+      ASSERT_OK(session.SetConf("sparkline.scan.zone_maps", pruning.second));
+      ASSERT_EQ(expected, RowStrings(Rows(&session, query)))
+          << "executors=" << executors
+          << " broadcast_filter=" << pruning.first
+          << " zone_maps=" << pruning.second;
     }
   }
 }
@@ -266,8 +246,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 // The incomplete global stage must split into the round-based stages for
 // multi-executor configs (visible as [candidates]/[validate]/[finalize]
-// entries in operator_ms) and stay a single task with one executor or the
-// flag off.
+// entries in operator_ms) and stay a single task with one executor.
 TEST(ParallelIncompleteGlobal, StageSplitsForMultipleExecutors) {
   Session session;
   ASSERT_OK(session.catalog()->RegisterTable(datagen::GeneratePoints(
@@ -277,10 +256,8 @@ TEST(ParallelIncompleteGlobal, StageSplitsForMultipleExecutors) {
   const std::string query =
       "SELECT * FROM pts SKYLINE OF d0 MIN, d1 MAX, d2 MIN";
 
-  auto metrics_for = [&](const char* execs, const char* parallel) {
+  auto metrics_for = [&](const char* execs) {
     SL_CHECK_OK(session.SetConf("sparkline.executors", execs));
-    SL_CHECK_OK(
-        session.SetConf("sparkline.skyline.incomplete.parallel", parallel));
     auto df = session.Sql(query);
     SL_CHECK(df.ok());
     auto r = df->Collect();
@@ -288,7 +265,7 @@ TEST(ParallelIncompleteGlobal, StageSplitsForMultipleExecutors) {
     return r->metrics;
   };
 
-  const QueryMetrics multi = metrics_for("4", "true");
+  const QueryMetrics multi = metrics_for("4");
   EXPECT_EQ(multi.operator_ms.count("GlobalSkyline [incomplete]"), 0u)
       << "incomplete global stage still runs as a single task with 4 executors";
   EXPECT_EQ(multi.operator_ms.count("GlobalSkyline [incomplete] [candidates]"),
@@ -298,17 +275,10 @@ TEST(ParallelIncompleteGlobal, StageSplitsForMultipleExecutors) {
   EXPECT_EQ(multi.operator_ms.count("GlobalSkyline [incomplete] [finalize]"),
             1u);
 
-  const QueryMetrics single = metrics_for("1", "true");
+  const QueryMetrics single = metrics_for("1");
   EXPECT_EQ(single.operator_ms.count("GlobalSkyline [incomplete]"), 1u);
   EXPECT_EQ(single.operator_ms.count("GlobalSkyline [incomplete] [candidates]"),
             0u);
-
-  const QueryMetrics disabled = metrics_for("4", "false");
-  EXPECT_EQ(disabled.operator_ms.count("GlobalSkyline [incomplete]"), 1u)
-      << "flag off must restore the single-task fallback";
-  EXPECT_EQ(
-      disabled.operator_ms.count("GlobalSkyline [incomplete] [candidates]"),
-      0u);
 }
 
 // The parallel partial-merge global stage (the tentpole of the columnar
@@ -352,11 +322,9 @@ int64_t BuildsMatching(const QueryMetrics& m, const std::string& needle) {
   return total;
 }
 
-QueryMetrics RunWithExchange(Session* session, const std::string& query,
-                             const char* executors, const char* exchange) {
+QueryMetrics RunWithExecutors(Session* session, const std::string& query,
+                              const char* executors) {
   SL_CHECK_OK(session->SetConf("sparkline.executors", executors));
-  SL_CHECK_OK(
-      session->SetConf("sparkline.skyline.exchange.columnar", exchange));
   auto df = session->Sql(query);
   SL_CHECK(df.ok());
   auto r = df->Collect();
@@ -364,10 +332,9 @@ QueryMetrics RunWithExchange(Session* session, const std::string& query,
   return r->metrics;
 }
 
-// The tentpole invariant: with the columnar exchange on, a multi-executor
-// complete plan projects each partition's DominanceMatrix exactly once (at
-// the local stage) and no global stage — in particular "[merge]" — ever
-// rebuilds; with it off, "[partial]" and "[merge]" each pay projections.
+// The columnar exchange's invariant: a multi-executor complete plan projects
+// each partition's DominanceMatrix exactly once (at the local stage) and no
+// global stage — in particular "[merge]" — ever rebuilds.
 TEST(ColumnarExchange, CompletePlanBuildsEachPartitionOnce) {
   Session session;
   ASSERT_OK(session.catalog()->RegisterTable(datagen::GeneratePoints(
@@ -376,7 +343,7 @@ TEST(ColumnarExchange, CompletePlanBuildsEachPartitionOnce) {
   const std::string query =
       "SELECT * FROM pts SKYLINE OF d0 MIN, d1 MAX, d2 MIN";
 
-  const QueryMetrics on = RunWithExchange(&session, query, "4", "true");
+  const QueryMetrics on = RunWithExecutors(&session, query, "4");
   EXPECT_EQ(BuildsMatching(on, "LocalSkyline"), 4)
       << "each of the 4 scan partitions must be projected exactly once";
   EXPECT_EQ(BuildsMatching(on, "GlobalSkyline"), 0)
@@ -388,19 +355,11 @@ TEST(ColumnarExchange, CompletePlanBuildsEachPartitionOnce) {
   EXPECT_GE(on.matrix_reuses.count("Exchange [AllTuples]"), 1u)
       << "the gather must record a block concat instead of a re-projection";
   EXPECT_GT(on.projection_ms, 0.0);
-
-  const QueryMetrics off = RunWithExchange(&session, query, "4", "false");
-  EXPECT_EQ(BuildsMatching(off, "LocalSkyline"), 4);
-  EXPECT_EQ(off.matrix_builds.count("GlobalSkyline [complete] [partial]"), 1u)
-      << "without the exchange every partial chunk re-projects";
-  EXPECT_EQ(
-      off.matrix_builds.at("GlobalSkyline [complete] [merge]"), 1)
-      << "without the exchange the merge re-projects its whole input";
 }
 
 // Same invariant for the incomplete pipeline: the round-based global stage
 // (candidates/validate/finalize) runs entirely on the matrix shipped by the
-// exchange — the "[candidates]" projection pass of the row path disappears.
+// exchange.
 TEST(ColumnarExchange, IncompletePlanReusesShuffledMatrix) {
   Session session;
   ASSERT_OK(session.catalog()->RegisterTable(datagen::GeneratePoints(
@@ -410,37 +369,44 @@ TEST(ColumnarExchange, IncompletePlanReusesShuffledMatrix) {
   const std::string query =
       "SELECT * FROM pts SKYLINE OF d0 MIN, d1 MAX, d2 MIN";
 
-  const QueryMetrics on = RunWithExchange(&session, query, "4", "true");
+  const QueryMetrics on = RunWithExecutors(&session, query, "4");
   EXPECT_GT(BuildsMatching(on, "LocalSkyline"), 0);
   EXPECT_EQ(BuildsMatching(on, "GlobalSkyline"), 0)
       << "the incomplete global stages must reuse the shuffled matrix";
   EXPECT_GE(on.matrix_reuses.count("GlobalSkyline [incomplete]"), 1u);
-
-  const QueryMetrics off = RunWithExchange(&session, query, "4", "false");
-  EXPECT_EQ(
-      off.matrix_builds.count("GlobalSkyline [incomplete] [candidates]"), 1u)
-      << "without the exchange the global stage re-projects the gathered rows";
 }
 
 // A nested skyline under the non-distributed strategy feeds the inner
 // skyline's single-partition output (a batch projected for the *inner*
 // dimensions) directly into the outer global operator — which must detect
-// the dimension mismatch and decode instead of reusing a matrix that
+// the dimension mismatch and re-project instead of reusing a matrix that
 // encodes the wrong columns.
-TEST(ColumnarExchange, NestedSkylineWithDifferentDimsDecodes) {
+TEST(ColumnarExchange, NestedSkylineWithDifferentDimsReprojects) {
   Session session;
-  ASSERT_OK(session.catalog()->RegisterTable(datagen::GeneratePoints(
-      "pts", 600, 3, datagen::PointDistribution::kAntiCorrelated, 17)));
+  TablePtr table = datagen::GeneratePoints(
+      "pts", 600, 3, datagen::PointDistribution::kAntiCorrelated, 17);
+  ASSERT_OK(session.catalog()->RegisterTable(table));
   ASSERT_OK(session.SetConf("sparkline.executors", "4"));
   const std::string nested =
       "SELECT * FROM (SELECT * FROM pts SKYLINE OF d0 MIN, d1 MAX) t "
       "SKYLINE OF d2 MIN, d1 MIN";
+  // Column 0 is the id; d0..d2 are ordinals 1..3.
+  const std::vector<Row> inner = skyline::BruteForceSkyline(
+      table->rows(), {{1, SkylineGoal::kMin}, {2, SkylineGoal::kMax}}, {});
+  const std::vector<std::string> expected =
+      RowStrings(skyline::BruteForceSkyline(
+          inner, {{3, SkylineGoal::kMin}, {2, SkylineGoal::kMin}}, {}));
 
   ASSERT_OK(session.SetConf("sparkline.skyline.strategy", "non_distributed"));
-  ASSERT_OK(session.SetConf("sparkline.skyline.exchange.columnar", "false"));
-  const std::vector<std::string> expected = RowStrings(Rows(&session, nested));
-  ASSERT_OK(session.SetConf("sparkline.skyline.exchange.columnar", "true"));
-  EXPECT_EQ(expected, RowStrings(Rows(&session, nested)));
+  auto df = session.Sql(nested);
+  ASSERT_TRUE(df.ok());
+  auto result = df->Collect();
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(expected, RowStrings(result->rows()));
+  EXPECT_EQ(
+      result->metrics.matrix_builds.at("GlobalSkyline [complete] [project]"), 2)
+      << "the inner stage projects the scan's rows and the outer stage must "
+         "re-project the inner skyline's";
 
   ASSERT_OK(session.SetConf("sparkline.skyline.strategy", "distributed"));
   EXPECT_EQ(expected, RowStrings(Rows(&session, nested)));

@@ -2,6 +2,7 @@
 // result rendering, explain output and error paths.
 #include <gtest/gtest.h>
 
+#include "common/string_util.h"
 #include "datagen/datagen.h"
 #include "test_util.h"
 
@@ -49,6 +50,21 @@ TEST(SessionConfigTest, UnknownKeyRejected) {
   auto s = session.SetConf("sparkline.nope", "1");
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.message().find("sparkline.nope"), std::string::npos);
+}
+
+// Keys of removed options are rejected as unknown, not silently ignored.
+TEST(SessionConfigTest, RetiredAblationKeysAreUnknown) {
+  Session session;
+  for (const char* key :
+       {"sparkline.skyline.columnar", "sparkline.skyline.exchange.columnar",
+        "sparkline.skyline.incomplete.parallel"}) {
+    for (const char* value : {"true", "false"}) {
+      auto s = session.SetConf(key, value);
+      ASSERT_FALSE(s.ok()) << key;
+      EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << key;
+      EXPECT_EQ(s.message(), StrCat("unknown configuration key '", key, "'"));
+    }
+  }
 }
 
 TEST(SessionConfigTest, MemoryOverheadInMb) {

@@ -1,5 +1,6 @@
-// Tests for the skyline algorithm library, including property sweeps against
-// the brute-force oracle and the executable Appendix-A counterexample.
+// Tests for the skyline kernels (skyline/columnar.h) through their row-level
+// entry points, including property sweeps against the brute-force oracle
+// (skyline/reference.h) and the executable Appendix-A counterexample.
 #include <optional>
 #include <tuple>
 
@@ -9,7 +10,8 @@
 #include "common/rng.h"
 #include "common/string_util.h"
 #include "common/timer.h"
-#include "skyline/algorithms.h"
+#include "skyline/columnar.h"
+#include "skyline/reference.h"
 
 namespace sparkline {
 namespace skyline {
@@ -43,6 +45,28 @@ std::vector<std::string> Sorted(const std::vector<Row>& rows) {
   return out;
 }
 
+constexpr ColumnarKernel kAllKernels[] = {ColumnarKernel::kBlockNestedLoop,
+                                          ColumnarKernel::kSortFilterSkyline,
+                                          ColumnarKernel::kGridFilter};
+
+const char* KernelName(ColumnarKernel kernel) {
+  switch (kernel) {
+    case ColumnarKernel::kSortFilterSkyline:
+      return "sfs";
+    case ColumnarKernel::kGridFilter:
+      return "grid";
+    case ColumnarKernel::kBlockNestedLoop:
+      break;
+  }
+  return "bnl";
+}
+
+Result<std::vector<Row>> Bnl(const std::vector<Row>& rows,
+                             const std::vector<BoundDimension>& dims,
+                             const SkylineOptions& options) {
+  return ColumnarSkyline(ColumnarKernel::kBlockNestedLoop, rows, dims, options);
+}
+
 std::vector<Row> RandomRows(size_t n, size_t dims, double null_rate,
                             int cardinality, uint64_t seed) {
   Rng rng(seed);
@@ -63,62 +87,79 @@ std::vector<Row> RandomRows(size_t n, size_t dims, double null_rate,
   return rows;
 }
 
-TEST(BnlTest, EmptyInput) {
-  auto result = BlockNestedLoop({}, MinDims(2), {});
-  ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result->empty());
+TEST(KernelTest, EmptyInput) {
+  for (const ColumnarKernel kernel : kAllKernels) {
+    auto result = ColumnarSkyline(kernel, {}, MinDims(2), {});
+    ASSERT_TRUE(result.ok()) << KernelName(kernel);
+    EXPECT_TRUE(result->empty()) << KernelName(kernel);
+  }
 }
 
-TEST(BnlTest, SingleTupleIsItsOwnSkyline) {
-  auto result = BlockNestedLoop({R({1, 2})}, MinDims(2), {});
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->size(), 1u);
+TEST(KernelTest, SingleTupleIsItsOwnSkyline) {
+  for (const ColumnarKernel kernel : kAllKernels) {
+    auto result = ColumnarSkyline(kernel, {R({1, 2})}, MinDims(2), {});
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(result->size(), 1u) << KernelName(kernel);
+  }
 }
 
-TEST(BnlTest, DominatedTupleRemoved) {
-  auto result = BlockNestedLoop({R({2, 2}), R({1, 1}), R({3, 0})},
-                                MinDims(2), {});
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(Sorted(*result), Sorted({R({1, 1}), R({3, 0})}));
+TEST(KernelTest, DominatedTupleRemoved) {
+  for (const ColumnarKernel kernel : kAllKernels) {
+    auto result = ColumnarSkyline(kernel, {R({2, 2}), R({1, 1}), R({3, 0})},
+                                  MinDims(2), {});
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(Sorted(*result), Sorted({R({1, 1}), R({3, 0})}))
+        << KernelName(kernel);
+  }
 }
 
-TEST(BnlTest, DuplicatesKeptWithoutDistinct) {
-  auto result = BlockNestedLoop({R({1, 1}), R({1, 1})}, MinDims(2), {});
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->size(), 2u);
+TEST(KernelTest, DuplicatesKeptWithoutDistinct) {
+  for (const ColumnarKernel kernel : kAllKernels) {
+    auto result =
+        ColumnarSkyline(kernel, {R({1, 1}), R({1, 1})}, MinDims(2), {});
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(result->size(), 2u) << KernelName(kernel);
+  }
 }
 
-TEST(BnlTest, DuplicatesCollapsedWithDistinct) {
+TEST(KernelTest, DuplicatesCollapsedWithDistinct) {
   SkylineOptions opts;
   opts.distinct = true;
-  auto result = BlockNestedLoop({R({1, 1}), R({1, 1})}, MinDims(2), opts);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->size(), 1u);
+  for (const ColumnarKernel kernel : kAllKernels) {
+    auto result =
+        ColumnarSkyline(kernel, {R({1, 1}), R({1, 1})}, MinDims(2), opts);
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(result->size(), 1u) << KernelName(kernel);
+  }
 }
 
-TEST(BnlTest, CountsDominanceTests) {
-  DominanceCounter counter;
-  SkylineOptions opts;
-  opts.counter = &counter;
-  auto result =
-      BlockNestedLoop({R({1, 1}), R({2, 2}), R({3, 3})}, MinDims(2), opts);
-  ASSERT_TRUE(result.ok());
-  EXPECT_GT(counter.tests.load(), 0);
+TEST(KernelTest, CountsDominanceTests) {
+  for (const ColumnarKernel kernel : kAllKernels) {
+    DominanceCounter counter;
+    SkylineOptions opts;
+    opts.counter = &counter;
+    auto result = ColumnarSkyline(kernel, {R({1, 1}), R({2, 2}), R({3, 3})},
+                                  MinDims(2), opts);
+    ASSERT_TRUE(result.ok());
+    EXPECT_GT(counter.tests.load(), 0) << KernelName(kernel);
+  }
 }
 
-TEST(BnlTest, DeadlineProducesTimeout) {
+TEST(KernelTest, DeadlineProducesTimeout) {
   auto rows = RandomRows(20000, 4, 0, 1000000, 3);
   SkylineOptions opts;
   opts.deadline_nanos = StopWatch::NowNanos();  // already expired
-  auto result = BlockNestedLoop(rows, MinDims(4), opts);
-  ASSERT_FALSE(result.ok());
-  EXPECT_TRUE(result.status().IsTimeout());
+  for (const ColumnarKernel kernel : kAllKernels) {
+    auto result = ColumnarSkyline(kernel, rows, MinDims(4), opts);
+    ASSERT_FALSE(result.ok()) << KernelName(kernel);
+    EXPECT_TRUE(result.status().IsTimeout()) << KernelName(kernel);
+  }
 }
 
-// Every row kernel polls the cancellation token at the DeadlineChecker
-// cadence; with a pre-cancelled token each must return Status::Cancelled
-// (never a crash, a hang, or a partial result passed off as complete).
-TEST(CancellationTest, EveryRowKernelHonorsCancelledToken) {
+// Every kernel polls the cancellation token at the DeadlineChecker cadence;
+// with a pre-cancelled token each must return Status::Cancelled (never a
+// crash, a hang, or a partial result passed off as complete).
+TEST(CancellationTest, EveryKernelHonorsCancelledToken) {
   const std::vector<Row> rows = RandomRows(20000, 4, 0, 1000000, 17);
   const std::vector<BoundDimension> dims = MinDims(4);
   CancellationToken token;
@@ -131,40 +172,44 @@ TEST(CancellationTest, EveryRowKernelHonorsCancelledToken) {
 
   SkylineOptions opts;
   opts.cancel = &token;
-  expect_cancelled(BlockNestedLoop(rows, dims, opts).status(), "bnl");
-  expect_cancelled(GridFilterSkyline(rows, dims, opts).status(), "grid");
-  for (const SfsSortKey key : {SfsSortKey::kSum, SfsSortKey::kMinMax}) {
-    for (const bool early_stop : {false, true}) {
-      SkylineOptions sfs = opts;
-      sfs.sfs_sort_key = key;
-      sfs.sfs_early_stop = early_stop;
-      expect_cancelled(
-          SortFilterSkyline(rows, dims, sfs).status(),
-          StrCat("sfs key=", static_cast<int>(key), " stop=", early_stop));
+  for (const ColumnarKernel kernel : kAllKernels) {
+    for (const SfsSortKey key : {SfsSortKey::kSum, SfsSortKey::kMinMax}) {
+      for (const bool early_stop : {false, true}) {
+        SkylineOptions kopts = opts;
+        kopts.sfs_sort_key = key;
+        kopts.sfs_early_stop = early_stop;
+        expect_cancelled(ColumnarSkyline(kernel, rows, dims, kopts).status(),
+                         StrCat(KernelName(kernel), " key=",
+                                static_cast<int>(key), " stop=", early_stop));
+      }
     }
   }
 
   // Incomplete-data kernels (the quadratic scans are the ones that need
   // interruption most).
   const std::vector<Row> sparse = RandomRows(4000, 3, 0.3, 50, 21);
+  const DominanceMatrix matrix = DominanceMatrix::Build(sparse, MinDims(3));
+  const std::vector<uint32_t> all = AllIndices(matrix);
+  const std::vector<uint32_t> first_half(all.begin(),
+                                         all.begin() + all.size() / 2);
+  const std::vector<uint32_t> second_half(all.begin() + all.size() / 2,
+                                          all.end());
   SkylineOptions iopts;
   iopts.nulls = NullSemantics::kIncomplete;
   iopts.cancel = &token;
-  expect_cancelled(AllPairsIncomplete(sparse, MinDims(3), iopts).status(),
+  expect_cancelled(ColumnarAllPairsSkyline(sparse, MinDims(3), iopts).status(),
                    "all_pairs");
   expect_cancelled(
-      IncompleteCandidateScan(sparse, 0, sparse.size(), MinDims(3), iopts)
-          .status(),
+      ColumnarIncompleteCandidateScan(matrix, all, iopts).status(),
       "candidate_scan");
   SkylineOptions vopts = iopts;
   vopts.cancel = nullptr;
-  auto candidates =
-      IncompleteCandidateScan(sparse, 0, sparse.size() / 2, MinDims(3), vopts);
+  auto candidates = ColumnarIncompleteCandidateScan(matrix, first_half, vopts);
   ASSERT_TRUE(candidates.ok());
-  expect_cancelled(ValidateAgainstChunk(sparse, *candidates, sparse.size() / 2,
-                                        sparse.size(), MinDims(3), iopts)
-                       .status(),
-                   "validate");
+  expect_cancelled(
+      ColumnarValidateAgainstChunk(matrix, *candidates, second_half, iopts)
+          .status(),
+      "validate");
 }
 
 TEST(AllPairsTest, MatchesOracleOnCyclicData) {
@@ -173,7 +218,7 @@ TEST(AllPairsTest, MatchesOracleOnCyclicData) {
                            RN({std::nullopt, 5, 3})};
   SkylineOptions opts;
   opts.nulls = NullSemantics::kIncomplete;
-  auto result = AllPairsIncomplete(rows, MinDims(3), opts);
+  auto result = ColumnarAllPairsSkyline(rows, MinDims(3), opts);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->empty());
 }
@@ -188,7 +233,7 @@ TEST(FlawedGulzarTest, AppendixACounterexample) {
 
   SkylineOptions opts;
   opts.nulls = NullSemantics::kIncomplete;
-  auto correct = AllPairsIncomplete(rows, MinDims(3), opts);
+  auto correct = ColumnarAllPairsSkyline(rows, MinDims(3), opts);
   ASSERT_TRUE(correct.ok());
   EXPECT_TRUE(correct->empty());
 }
@@ -196,13 +241,15 @@ TEST(FlawedGulzarTest, AppendixACounterexample) {
 TEST(PartitionTest, GroupsByNullBitmap) {
   std::vector<Row> rows = {RN({1, 2}), RN({std::nullopt, 2}), RN({3, 4}),
                            RN({std::nullopt, 7})};
-  auto parts = PartitionByNullBitmap(rows, MinDims(2));
+  const DominanceMatrix matrix = DominanceMatrix::Build(rows, MinDims(2));
+  auto parts = PartitionIndicesByNullBitmap(matrix, AllIndices(matrix));
   ASSERT_EQ(parts.size(), 2u);
   EXPECT_EQ(parts[0].size() + parts[1].size(), 4u);
   for (const auto& part : parts) {
-    const uint32_t bitmap = NullBitmap(part[0], MinDims(2));
-    for (const auto& r : part) {
-      EXPECT_EQ(NullBitmap(r, MinDims(2)), bitmap);
+    const uint32_t bitmap = NullBitmap(rows[part[0]], MinDims(2));
+    for (const uint32_t r : part) {
+      EXPECT_EQ(NullBitmap(rows[r], MinDims(2)), bitmap);
+      EXPECT_EQ(matrix.null_bitmap(r), bitmap);
     }
   }
 }
@@ -218,13 +265,11 @@ TEST(Lemma51Test, LocalSkylineUnionPreservesGlobalSkyline) {
     SkylineOptions opts;
     opts.nulls = NullSemantics::kIncomplete;
 
-    std::vector<Row> local_union;
-    for (const auto& part : PartitionByNullBitmap(rows, dims)) {
-      auto local = BlockNestedLoop(part, dims, opts);
-      ASSERT_TRUE(local.ok());
-      local_union.insert(local_union.end(), local->begin(), local->end());
-    }
-    auto from_union = AllPairsIncomplete(local_union, dims, opts);
+    // Under incomplete semantics the local entry runs one BNL per
+    // bitmap-uniform group — the local stage of section 5.7.
+    auto local_union = Bnl(rows, dims, opts);
+    ASSERT_TRUE(local_union.ok());
+    auto from_union = ColumnarAllPairsSkyline(*local_union, dims, opts);
     ASSERT_TRUE(from_union.ok());
     auto oracle = BruteForceSkyline(rows, dims, opts);
     EXPECT_EQ(Sorted(*from_union), Sorted(oracle)) << "seed " << seed;
@@ -234,30 +279,13 @@ TEST(Lemma51Test, LocalSkylineUnionPreservesGlobalSkyline) {
 TEST(SfsTest, MatchesBnlOnCompleteData) {
   for (uint64_t seed : {10u, 11u, 12u}) {
     auto rows = RandomRows(500, 3, 0, 50, seed);
-    auto bnl = BlockNestedLoop(rows, MinDims(3), {});
-    auto sfs = SortFilterSkyline(rows, MinDims(3), {});
+    auto bnl = Bnl(rows, MinDims(3), {});
+    auto sfs = ColumnarSkyline(ColumnarKernel::kSortFilterSkyline, rows,
+                               MinDims(3), {});
     ASSERT_TRUE(bnl.ok());
     ASSERT_TRUE(sfs.ok());
     EXPECT_EQ(Sorted(*bnl), Sorted(*sfs));
   }
-}
-
-TEST(ComputeSkylineTest, CompleteDelegatesToBnl) {
-  auto rows = RandomRows(200, 2, 0, 20, 77);
-  auto a = ComputeSkyline(rows, MinDims(2), {});
-  auto b = BlockNestedLoop(rows, MinDims(2), {});
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(Sorted(*a), Sorted(*b));
-}
-
-TEST(ComputeSkylineTest, IncompleteMatchesOracle) {
-  SkylineOptions opts;
-  opts.nulls = NullSemantics::kIncomplete;
-  auto rows = RandomRows(300, 3, 0.25, 5, 31);
-  auto got = ComputeSkyline(rows, MinDims(3), opts);
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(Sorted(*got), Sorted(BruteForceSkyline(rows, MinDims(3), opts)));
 }
 
 // --- property sweeps vs. the brute-force oracle -------------------------------
@@ -272,13 +300,15 @@ struct SweepParam {
 
 class SkylineSweep : public ::testing::TestWithParam<SweepParam> {};
 
-TEST_P(SkylineSweep, BnlMatchesOracleOnCompleteData) {
+TEST_P(SkylineSweep, KernelsMatchOracleOnCompleteData) {
   const auto& p = GetParam();
   auto rows = RandomRows(p.n, p.dims, 0.0, p.cardinality, p.seed);
-  auto got = BlockNestedLoop(rows, MinDims(p.dims), {});
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(Sorted(*got),
-            Sorted(BruteForceSkyline(rows, MinDims(p.dims), {})));
+  const auto oracle = Sorted(BruteForceSkyline(rows, MinDims(p.dims), {}));
+  for (const ColumnarKernel kernel : kAllKernels) {
+    auto got = ColumnarSkyline(kernel, rows, MinDims(p.dims), {});
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(Sorted(*got), oracle) << KernelName(kernel);
+  }
 }
 
 TEST_P(SkylineSweep, AllPairsMatchesOracleOnIncompleteData) {
@@ -286,19 +316,10 @@ TEST_P(SkylineSweep, AllPairsMatchesOracleOnIncompleteData) {
   SkylineOptions opts;
   opts.nulls = NullSemantics::kIncomplete;
   auto rows = RandomRows(p.n, p.dims, p.null_rate, p.cardinality, p.seed);
-  auto got = AllPairsIncomplete(rows, MinDims(p.dims), opts);
+  auto got = ColumnarAllPairsSkyline(rows, MinDims(p.dims), opts);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(Sorted(*got),
             Sorted(BruteForceSkyline(rows, MinDims(p.dims), opts)));
-}
-
-TEST_P(SkylineSweep, GridFilterMatchesOracleOnCompleteData) {
-  const auto& p = GetParam();
-  auto rows = RandomRows(p.n, p.dims, 0.0, p.cardinality, p.seed);
-  auto got = GridFilterSkyline(rows, MinDims(p.dims), {});
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(Sorted(*got),
-            Sorted(BruteForceSkyline(rows, MinDims(p.dims), {})));
 }
 
 TEST_P(SkylineSweep, GridFilterMatchesOracleOnMixedGoals) {
@@ -308,7 +329,7 @@ TEST_P(SkylineSweep, GridFilterMatchesOracleOnMixedGoals) {
     dims.push_back({d, d % 2 == 0 ? SkylineGoal::kMin : SkylineGoal::kMax});
   }
   auto rows = RandomRows(p.n, p.dims, 0.0, p.cardinality, p.seed + 100);
-  auto got = GridFilterSkyline(rows, dims, {});
+  auto got = ColumnarSkyline(ColumnarKernel::kGridFilter, rows, dims, {});
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(Sorted(*got), Sorted(BruteForceSkyline(rows, dims, {})));
 }
@@ -320,11 +341,12 @@ TEST(GridFilterTest, FallsBackOnIncompleteData) {
   // Must still be correct (it delegates to BNL, which requires
   // bitmap-uniform input; here we only check it does not crash and matches
   // BNL's own behaviour on the same input).
-  auto grid = GridFilterSkyline(rows, MinDims(2), opts);
-  auto bnl = BlockNestedLoop(rows, MinDims(2), opts);
+  const DominanceMatrix matrix = DominanceMatrix::Build(rows, MinDims(2));
+  auto grid = ColumnarGridFilterSkyline(matrix, AllIndices(matrix), opts);
+  auto bnl = ColumnarBlockNestedLoop(matrix, AllIndices(matrix), opts);
   ASSERT_TRUE(grid.ok());
   ASSERT_TRUE(bnl.ok());
-  EXPECT_EQ(Sorted(*grid), Sorted(*bnl));
+  EXPECT_EQ(*grid, *bnl);
 }
 
 TEST(GridFilterTest, PrunesCellsOnLargeUniformData) {
@@ -336,8 +358,9 @@ TEST(GridFilterTest, PrunesCellsOnLargeUniformData) {
   grid_opts.counter = &grid_counter;
   SkylineOptions bnl_opts;
   bnl_opts.counter = &bnl_counter;
-  auto grid = GridFilterSkyline(rows, MinDims(2), grid_opts);
-  auto bnl = BlockNestedLoop(rows, MinDims(2), bnl_opts);
+  auto grid = ColumnarSkyline(ColumnarKernel::kGridFilter, rows, MinDims(2),
+                              grid_opts);
+  auto bnl = Bnl(rows, MinDims(2), bnl_opts);
   ASSERT_TRUE(grid.ok());
   ASSERT_TRUE(bnl.ok());
   EXPECT_EQ(Sorted(*grid), Sorted(*bnl));
@@ -351,9 +374,12 @@ TEST_P(SkylineSweep, MixedGoalsMatchOracle) {
     dims.push_back({d, d % 2 == 0 ? SkylineGoal::kMin : SkylineGoal::kMax});
   }
   auto rows = RandomRows(p.n, p.dims, 0.0, p.cardinality, p.seed);
-  auto got = BlockNestedLoop(rows, dims, {});
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(Sorted(*got), Sorted(BruteForceSkyline(rows, dims, {})));
+  const auto oracle = Sorted(BruteForceSkyline(rows, dims, {}));
+  for (const ColumnarKernel kernel : kAllKernels) {
+    auto got = ColumnarSkyline(kernel, rows, dims, {});
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(Sorted(*got), oracle) << KernelName(kernel);
+  }
 }
 
 TEST_P(SkylineSweep, DiffGoalMatchesOracle) {
@@ -363,9 +389,12 @@ TEST_P(SkylineSweep, DiffGoalMatchesOracle) {
   dims.push_back({0, SkylineGoal::kDiff});
   for (size_t d = 1; d < p.dims; ++d) dims.push_back({d, SkylineGoal::kMin});
   auto rows = RandomRows(p.n, p.dims, 0.0, p.cardinality, p.seed);
-  auto got = BlockNestedLoop(rows, dims, {});
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(Sorted(*got), Sorted(BruteForceSkyline(rows, dims, {})));
+  const auto oracle = Sorted(BruteForceSkyline(rows, dims, {}));
+  for (const ColumnarKernel kernel : kAllKernels) {
+    auto got = ColumnarSkyline(kernel, rows, dims, {});
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(Sorted(*got), oracle) << KernelName(kernel);
+  }
 }
 
 TEST_P(SkylineSweep, DistinctMatchesOracle) {
@@ -373,12 +402,14 @@ TEST_P(SkylineSweep, DistinctMatchesOracle) {
   SkylineOptions opts;
   opts.distinct = true;
   auto rows = RandomRows(p.n, p.dims, 0.0, p.cardinality, p.seed);
-  auto got = BlockNestedLoop(rows, MinDims(p.dims), opts);
-  ASSERT_TRUE(got.ok());
   // DISTINCT keeps one representative per duplicate group; sizes must match
   // the oracle's.
-  EXPECT_EQ(got->size(),
-            BruteForceSkyline(rows, MinDims(p.dims), opts).size());
+  const size_t expected = BruteForceSkyline(rows, MinDims(p.dims), opts).size();
+  for (const ColumnarKernel kernel : kAllKernels) {
+    auto got = ColumnarSkyline(kernel, rows, MinDims(p.dims), opts);
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(got->size(), expected) << KernelName(kernel);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -7,7 +7,7 @@
 #include "common/rng.h"
 #include "common/string_util.h"
 #include "datagen/datagen.h"
-#include "skyline/algorithms.h"
+#include "skyline/reference.h"
 #include "test_util.h"
 
 namespace sparkline {

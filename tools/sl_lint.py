@@ -17,11 +17,19 @@ Rules (each suppressible per line/function with `sl-lint: allow(<rule>)`):
   kernel-deadline    Every kernel function in src/skyline/*.cc whose loops
                      perform dominance tests (CompareRows / matrix.Compare /
                      CountTest) must poll DeadlineChecker / CheckInterrupt
-                     so queries stay cancellable mid-scan.
+                     so queries stay cancellable mid-scan. The reference
+                     oracles in src/skyline/reference.cc are exempt
+                     because no query can reach them: no other file in
+                     src/ may call CompareRows, BruteForceSkyline or
+                     FlawedGulzarGlobal.
   metric-names       Literal instrument names passed to GetCounter /
                      GetGauge / GetHistogram must match the Prometheus
                      metric-name grammar and the `sparkline_` prefix
                      MetricsText() exposes.
+  doc-refs           Every `*.md` file named in src/, bench/, tests/
+                     (lint fixtures excluded), tools/, docs/ or README.md
+                     must exist in the repo — relative to the citing file,
+                     to the repo root, or as a path suffix of a repo file.
 
 Usage:
   tools/sl_lint.py [--root DIR]     lint the tree (exit 1 on findings)
@@ -40,6 +48,7 @@ RULES = (
     "flag-docs",
     "kernel-deadline",
     "metric-names",
+    "doc-refs",
 )
 
 ALLOW_RE = re.compile(r"sl-lint:\s*allow\(([a-z-]+)\)")
@@ -237,13 +246,31 @@ def _functions(text):
             start = None
 
 
+REFERENCE_FILES = ("reference.cc", "reference.h")
+REFERENCE_CALL_RE = re.compile(
+    r"\b(CompareRows|BruteForceSkyline|FlawedGulzarGlobal)\s*\(")
+
+
 def check_kernel_deadline(root):
     findings = []
+    for path in _source_files(root):
+        if os.path.basename(path) in REFERENCE_FILES:
+            continue
+        lines = _read(path).splitlines()
+        for i, line in enumerate(lines):
+            m = REFERENCE_CALL_RE.search(line)
+            if m and not line.lstrip().startswith("//") and \
+                    not _allowed("kernel-deadline", lines, i):
+                findings.append(Finding(
+                    "kernel-deadline", _rel(root, path), i + 1,
+                    "%s is a reference oracle (skyline/reference.h) with "
+                    "no deadline polling — query code must use the "
+                    "DominanceMatrix kernels" % m.group(1)))
     base = os.path.join(root, "src", "skyline")
     if not os.path.isdir(base):
         return findings
     for name in sorted(os.listdir(base)):
-        if not name.endswith(".cc"):
+        if not name.endswith(".cc") or name in REFERENCE_FILES:
             continue
         path = os.path.join(base, name)
         for start, body in _functions(_read(path)):
@@ -299,6 +326,65 @@ def check_metric_names(root):
     return findings
 
 
+# --- rule: doc-refs ----------------------------------------------------------
+
+DOC_REF_RE = re.compile(r"(?<![\w./-])([\w./-]*[\w-]\.md)\b")
+DOC_REF_DIRS = ("src", "bench", "tests", "tools", "docs")
+SKIP_DIRS = {".git", ".bench_build", "lint_fixtures"}
+
+
+def _repo_files(root):
+    out = set()
+    for dirpath, dirnames, names in os.walk(root):
+        dirnames[:] = [d for d in dirnames
+                       if d not in SKIP_DIRS and not d.startswith("build")]
+        for name in names:
+            out.add(_rel(root, os.path.join(dirpath, name)).replace(
+                os.sep, "/"))
+    return out
+
+
+def check_doc_refs(root):
+    findings = []
+    files = _repo_files(root)
+    citing = [os.path.join(root, "README.md")]
+    for sub in DOC_REF_DIRS:
+        base = os.path.join(root, sub)
+        for dirpath, dirnames, names in os.walk(base):
+            dirnames[:] = [d for d in dirnames if d not in SKIP_DIRS]
+            citing.extend(os.path.join(dirpath, n) for n in sorted(names))
+    for path in citing:
+        if not os.path.isfile(path):
+            continue
+        try:
+            lines = _read(path).splitlines()
+        except UnicodeDecodeError:
+            continue
+        here = os.path.dirname(_rel(root, path))
+        for i, line in enumerate(lines):
+            for m in DOC_REF_RE.finditer(line):
+                ref = m.group(1)
+                if "://" in line[max(0, m.start() - 80):m.start()]:
+                    continue  # part of a URL
+                candidates = {
+                    os.path.normpath(os.path.join(here, ref)),
+                    os.path.normpath(ref),
+                }
+                candidates = {c.replace(os.sep, "/") for c in candidates}
+                if candidates & files:
+                    continue
+                suffix = "/" + ref.lstrip("./")
+                if any(f.endswith(suffix) for f in files):
+                    continue
+                if _allowed("doc-refs", lines, i):
+                    continue
+                findings.append(Finding(
+                    "doc-refs", _rel(root, path), i + 1,
+                    "'%s' names no file in the repo — point the reference "
+                    "at the document that holds the content" % ref))
+    return findings
+
+
 # --- driver ------------------------------------------------------------------
 
 CHECKS = {
@@ -307,6 +393,7 @@ CHECKS = {
     "flag-docs": check_flag_docs,
     "kernel-deadline": check_kernel_deadline,
     "metric-names": check_metric_names,
+    "doc-refs": check_doc_refs,
 }
 
 
