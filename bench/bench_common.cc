@@ -1,10 +1,12 @@
 #include "bench_common.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 
 #include "common/metrics.h"
 #include "common/string_util.h"
+#include "skyline/reference.h"
 
 namespace sparkline {
 namespace bench {
@@ -191,6 +193,40 @@ std::string SkylineSql(const std::string& table,
                                  dimensions.begin() + dims);
   return StrCat("SELECT * FROM ", table, " SKYLINE OF ",
                 complete ? "COMPLETE " : "", JoinStrings(items, ", "));
+}
+
+std::vector<skyline::BoundDimension> BindDimensions(
+    Session* session, const std::string& table,
+    const std::vector<std::string>& dimensions, size_t dims) {
+  auto t = session->catalog()->GetTable(table);
+  SL_CHECK(t.ok()) << t.status().ToString();
+  std::vector<skyline::BoundDimension> bound;
+  for (size_t d = 0; d < dims; ++d) {
+    const auto parts = Split(dimensions[d], ' ');
+    const int ordinal = (*t)->schema().IndexOf(parts[0]);
+    SL_CHECK(ordinal >= 0) << parts[0];
+    bound.push_back({static_cast<size_t>(ordinal),
+                     EqualsIgnoreCase(parts[1], "MIN") ? SkylineGoal::kMin
+                                                       : SkylineGoal::kMax});
+  }
+  return bound;
+}
+
+std::vector<std::string> OracleSkyline(
+    Session* session, const std::string& table,
+    const std::vector<std::string>& dimensions, size_t dims) {
+  auto t = session->catalog()->GetTable(table);
+  SL_CHECK(t.ok()) << t.status().ToString();
+  return SortedRowStrings(skyline::BruteForceSkyline(
+      (*t)->rows(), BindDimensions(session, table, dimensions, dims), {}));
+}
+
+std::vector<std::string> SortedRowStrings(const std::vector<Row>& rows) {
+  std::vector<std::string> out;
+  out.reserve(rows.size());
+  for (const auto& row : rows) out.push_back(RowToString(row));
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 std::string ReferenceSql(const std::string& table,

@@ -21,6 +21,7 @@
 #include "api/dataframe.h"
 #include "api/session.h"
 #include "datagen/datagen.h"
+#include "skyline/dominance.h"
 
 namespace sparkline {
 namespace bench {
@@ -88,6 +89,23 @@ void PrintTables(const std::string& title,
 std::string SkylineSql(const std::string& table,
                        const std::vector<std::string>& dimensions, size_t dims,
                        bool complete);
+
+/// Binds the first `dims` entries of `dimensions` ("col GOAL" strings) to
+/// the column ordinals of catalog table `table`: the dimensions of
+/// SkylineSql's `SELECT *` query, for oracles over the table's rows.
+std::vector<skyline::BoundDimension> BindDimensions(
+    Session* session, const std::string& table,
+    const std::vector<std::string>& dimensions, size_t dims);
+
+/// The oracle for SkylineSql(table, dimensions, dims, ...) on complete data:
+/// BruteForceSkyline over the table's rows, rendered with RowToString and
+/// sorted.
+std::vector<std::string> OracleSkyline(
+    Session* session, const std::string& table,
+    const std::vector<std::string>& dimensions, size_t dims);
+
+/// Renders rows with RowToString, sorted (the form OracleSkyline returns).
+std::vector<std::string> SortedRowStrings(const std::vector<Row>& rows);
 
 /// Builds the Listing-4 plain-SQL rewriting for the same query. (The
 /// harness runs the reference via the optimizer rewrite — strategy

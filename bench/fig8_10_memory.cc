@@ -52,33 +52,32 @@ void ExecutorsVsMemory(Session* session, const std::string& table,
 // is still charged, so the skyline query's peak must cover the scan output
 // (the peak of the plain scan) plus at least one matrix over the whole
 // table (the partition matrices sum to it, plus per-matrix headers).
-// Zone-map skipping is off so every partition is projected.
+// That holds only when every partition is projected, so the check also
+// requires that zone maps skipped no partition.
 void AssertMatrixMemoryVisible(Session* session, const std::string& table,
                                const std::vector<std::string>& dimensions) {
   SL_CHECK_OK(session->SetConf("sparkline.executors", "3"));
-  SL_CHECK_OK(session->SetConf("sparkline.scan.zone_maps", "false"));
-  auto peak_of = [&](const std::string& sql) {
+  auto metrics_of = [&](const std::string& sql) {
     auto df = session->Sql(sql);
     SL_CHECK(df.ok());
     auto r = df->Collect();
     SL_CHECK(r.ok()) << r.status().ToString();
-    return r->metrics.peak_memory_bytes;
+    return r->metrics;
   };
   auto t = session->catalog()->GetTable(table);
   SL_CHECK(t.ok());
-  std::vector<skyline::BoundDimension> dims;
-  for (size_t d = 0; d < 6; ++d) {
-    const auto parts = Split(dimensions[d], ' ');
-    const int ordinal = (*t)->schema().IndexOf(parts[0]);
-    SL_CHECK(ordinal >= 0) << parts[0];
-    dims.push_back({static_cast<size_t>(ordinal),
-                    EqualsIgnoreCase(parts[1], "MIN") ? SkylineGoal::kMin
-                                                      : SkylineGoal::kMax});
-  }
   const int64_t matrix_bytes =
-      skyline::DominanceMatrix::Build((*t)->rows(), dims).MemoryBytes();
-  const int64_t input_peak = peak_of(StrCat("SELECT * FROM ", table));
-  const int64_t skyline_peak = peak_of(SkylineSql(table, dimensions, 6, true));
+      skyline::DominanceMatrix::Build(
+          (*t)->rows(), BindDimensions(session, table, dimensions, 6))
+          .MemoryBytes();
+  const int64_t input_peak =
+      metrics_of(StrCat("SELECT * FROM ", table)).peak_memory_bytes;
+  const QueryMetrics skyline =
+      metrics_of(SkylineSql(table, dimensions, 6, true));
+  SL_CHECK(skyline.partitions_skipped == 0)
+      << "zone maps skipped " << skyline.partitions_skipped
+      << " partitions, so not every partition's matrix was built";
+  const int64_t skyline_peak = skyline.peak_memory_bytes;
   SL_CHECK(skyline_peak >= input_peak + matrix_bytes)
       << "DominanceMatrix bytes are invisible to the MemoryTracker: skyline "
       << "peak " << skyline_peak << " < scan peak " << input_peak
@@ -88,7 +87,6 @@ void AssertMatrixMemoryVisible(Session* session, const std::string& table,
               table.c_str(), static_cast<long long>(skyline_peak),
               static_cast<long long>(input_peak),
               static_cast<long long>(matrix_bytes));
-  SL_CHECK_OK(session->SetConf("sparkline.scan.zone_maps", "true"));
 }
 
 }  // namespace

@@ -1,12 +1,12 @@
-// SaLSa-style early termination ablation (PR 5): SFS stop points.
+// SaLSa-style early termination: SFS stop points.
 //
-// With sparkline.skyline.sfs.early_stop on, every SFS pass (local
-// partitions, global partial slices, the sort-free global merge) maintains
-// the SaLSa stop bound minC — the smallest max-coordinate over the skyline
-// points seen — and terminates as soon as the monotone sort key proves
-// every remaining tuple strictly dominated. The columnar exchange ships
-// each partition's tightest bound with the gathered batch, so the global
-// merge can stop before scanning most of the shuffled input.
+// Every SFS pass (local partitions, global partial slices, the sort-free
+// global merge) maintains the SaLSa stop bound minC — the smallest
+// max-coordinate over the skyline points seen — and terminates as soon as
+// the monotone sort key proves every remaining tuple strictly dominated.
+// The columnar exchange ships each partition's tightest bound with the
+// gathered batch, so the global merge can stop before scanning most of the
+// shuffled input.
 //
 // This bench quantifies the effect on the two sort keys (sum — the
 // pre-existing score order — and minmax, SaLSa's minC function with the
@@ -24,16 +24,17 @@
 //   frac       skipped / table rows (local passes see each row once; the
 //              merge sees survivors, so >1.0 is possible in principle)
 //
-// --smoke runs a scaled-down sweep and asserts the acceptance invariants
-// (correlated minmax skips >30% of the table, identical result counts), so
-// CI keeps this binary and the counters from bit-rotting between perf PRs.
+// Every cell is checked against the BruteForceSkyline oracle. --smoke runs a
+// scaled-down sweep and asserts the acceptance invariant (correlated minmax
+// skips >30% of the table), so CI keeps this binary and the counters from
+// bit-rotting between perf changes. The numbers with the stop disabled are
+// recorded in docs/ARCHITECTURE.md ("Retired ablations").
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
-#include "common/string_util.h"
 
 using namespace sparkline;        // NOLINT
 using namespace sparkline::bench; // NOLINT
@@ -46,13 +47,11 @@ struct StopCell {
   int64_t dominance_tests = 0;
   int64_t rows_skipped = 0;
   int64_t stops = 0;
-  size_t result_rows = 0;
+  std::vector<std::string> rows;
 };
 
-StopCell RunOnce(Session* session, const std::string& sql, bool early_stop,
+StopCell RunOnce(Session* session, const std::string& sql,
                  const char* sort_key) {
-  SL_CHECK_OK(session->SetConf("sparkline.skyline.sfs.early_stop",
-                               early_stop ? "true" : "false"));
   SL_CHECK_OK(session->SetConf("sparkline.skyline.sfs.sort_key", sort_key));
   auto df = session->Sql(sql);
   SL_CHECK(df.ok()) << df.status().ToString();
@@ -69,40 +68,37 @@ StopCell RunOnce(Session* session, const std::string& sql, bool early_stop,
   cell.dominance_tests = m.dominance_tests;
   cell.rows_skipped = m.sfs_rows_skipped;
   cell.stops = m.sfs_early_stops;
-  cell.result_rows = result->num_rows();
+  cell.rows = SortedRowStrings(result->rows());
   return cell;
 }
 
 void Sweep(Session* session, const char* title, const std::string& sql,
-           size_t table_rows, bool smoke) {
+           const std::vector<std::string>& expected, size_t table_rows,
+           bool smoke) {
   std::printf("\n%s (%zu rows) | strategy: distributed, kernel: sfs, "
               "8 executors\n",
               title, table_rows);
-  std::printf("%-8s %-12s %10s %10s %12s %16s %7s\n", "key", "early_stop",
-              "total_ms", "sfs_ms", "dom_tests", "skipped(stops)", "frac");
+  std::printf("%-8s %10s %10s %12s %16s %7s\n", "key", "total_ms", "sfs_ms",
+              "dom_tests", "skipped(stops)", "frac");
   for (const char* sort_key : {"sum", "minmax"}) {
-    const StopCell off = RunOnce(session, sql, false, sort_key);
-    const StopCell on = RunOnce(session, sql, true, sort_key);
-    for (const auto& [name, cell] : {std::make_pair("off", &off),
-                                     std::make_pair("on", &on)}) {
-      std::printf("%-8s %-12s %10.2f %10.2f %12lld %10lld (%3lld) %6.1f%%\n",
-                  sort_key, name, cell->total_ms, cell->sfs_ms,
-                  static_cast<long long>(cell->dominance_tests),
-                  static_cast<long long>(cell->rows_skipped),
-                  static_cast<long long>(cell->stops),
-                  100.0 * static_cast<double>(cell->rows_skipped) /
-                      static_cast<double>(table_rows));
-    }
-    SL_CHECK(on.result_rows == off.result_rows)
-        << "early stop changed the result on " << title << " (" << sort_key
-        << "): " << on.result_rows << " vs " << off.result_rows;
+    const StopCell cell = RunOnce(session, sql, sort_key);
+    std::printf("%-8s %10.2f %10.2f %12lld %10lld (%3lld) %6.1f%%\n",
+                sort_key, cell.total_ms, cell.sfs_ms,
+                static_cast<long long>(cell.dominance_tests),
+                static_cast<long long>(cell.rows_skipped),
+                static_cast<long long>(cell.stops),
+                100.0 * static_cast<double>(cell.rows_skipped) /
+                    static_cast<double>(table_rows));
+    SL_CHECK(cell.rows == expected)
+        << title << " (" << sort_key << ") diverged from the oracle: "
+        << cell.rows.size() << " vs " << expected.size() << " rows";
     if (smoke && std::strcmp(sort_key, "minmax") == 0 &&
         std::strstr(title, "correlated") == title) {
       // The acceptance bar: the tight minC bound must terminate >30% of a
       // correlated table away, with the counters proving it.
-      SL_CHECK(on.stops >= 1) << "no SFS pass terminated early";
-      SL_CHECK(on.rows_skipped * 10 > static_cast<int64_t>(table_rows) * 3)
-          << "minmax stop point skipped only " << on.rows_skipped << " of "
+      SL_CHECK(cell.stops >= 1) << "no SFS pass terminated early";
+      SL_CHECK(cell.rows_skipped * 10 > static_cast<int64_t>(table_rows) * 3)
+          << "minmax stop point skipped only " << cell.rows_skipped << " of "
           << table_rows << " correlated rows";
     }
   }
@@ -141,15 +137,17 @@ int main(int argc, char** argv) {
   SL_CHECK_OK(
       session.catalog()->RegisterTable(datagen::GenerateStoreSales(sopts)));
 
-  const std::string point_dims = "d0 MIN, d1 MIN, d2 MIN, d3 MIN";
-  Sweep(&session, "correlated",
-        StrCat("SELECT * FROM correlated SKYLINE OF ", point_dims), points,
-        smoke);
+  const std::vector<std::string> point_dims = {"d0 MIN", "d1 MIN", "d2 MIN",
+                                               "d3 MIN"};
+  Sweep(&session, "correlated", SkylineSql("correlated", point_dims, 4, false),
+        OracleSkyline(&session, "correlated", point_dims, 4), points, smoke);
   Sweep(&session, "anticorrelated",
-        StrCat("SELECT * FROM anticorrelated SKYLINE OF ", point_dims), points,
+        SkylineSql("anticorrelated", point_dims, 4, false),
+        OracleSkyline(&session, "anticorrelated", point_dims, 4), points,
         smoke);
   Sweep(&session, "store_sales",
         SkylineSql("store_sales", StoreSalesDimensions(), 6, true),
+        OracleSkyline(&session, "store_sales", StoreSalesDimensions(), 6),
         sopts.num_rows, smoke);
   if (smoke) std::printf("\nsmoke checks passed\n");
   return 0;

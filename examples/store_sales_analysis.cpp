@@ -1,6 +1,6 @@
 // Skyline analysis on the DSB store_sales-shaped fact table (paper
-// section 6.2, Table 2): skylines over filtered/aggregated inputs, the
-// single-dimension optimization, and the cost of the plain-SQL rewriting.
+// section 6.2, Table 2): skylines over filtered/aggregated inputs, a
+// single-dimension skyline, and the cost of the plain-SQL rewriting.
 #include <cinttypes>
 #include <cstdio>
 
@@ -44,8 +44,10 @@ int main() {
   std::printf("Skyline over per-item aggregates: %zu items\n%s\n",
               agg_result->num_rows(), agg_result->ToString(8).c_str());
 
-  // The single-dimension optimization (section 5.4): the skyline disappears
-  // from the plan in favour of a scalar subquery filter.
+  // A single-dimension skyline is the set of tuples tied at the optimum.
+  // Section 5.4 proposes rewriting it into a scalar MIN subquery filter;
+  // the skyline operator answers it faster in one pass, so the Skyline node
+  // stays in the plan.
   auto single = session.Sql(
       "SELECT * FROM store_sales SKYLINE OF ss_wholesale_cost MIN");
   SL_CHECK(single.ok());

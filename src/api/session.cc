@@ -82,18 +82,6 @@ Status Session::SetConf(const std::string& key, const std::string& value) {
     return Status::Invalid(
         StrCat("unknown skyline kernel '", value, "' (bnl | sfs | grid)"));
   }
-  if (k == "sparkline.skyline.broadcast_filter") {
-    SL_ASSIGN_OR_RETURN(config_.skyline_broadcast_filter, ParseBool(value));
-    return Status::OK();
-  }
-  if (k == "sparkline.scan.zone_maps") {
-    SL_ASSIGN_OR_RETURN(config_.scan_zone_maps, ParseBool(value));
-    return Status::OK();
-  }
-  if (k == "sparkline.skyline.sfs.early_stop") {
-    SL_ASSIGN_OR_RETURN(config_.skyline_sfs_early_stop, ParseBool(value));
-    return Status::OK();
-  }
   if (k == "sparkline.skyline.sfs.sort_key") {
     SL_ASSIGN_OR_RETURN(config_.skyline_sfs_sort_key, ParseSfsSortKey(value));
     return Status::OK();
@@ -105,28 +93,6 @@ Status Session::SetConf(const std::string& key, const std::string& value) {
   }
   if (k == "sparkline.skyline.nondistributedthreshold") {
     SL_ASSIGN_OR_RETURN(config_.non_distributed_threshold, ParseInt(value));
-    return Status::OK();
-  }
-  if (k == "sparkline.optimizer.singledimrewrite") {
-    SL_ASSIGN_OR_RETURN(config_.optimizer.single_dim_skyline_rewrite,
-                        ParseBool(value));
-    return Status::OK();
-  }
-  if (k == "sparkline.optimizer.skylinejoinpushdown") {
-    SL_ASSIGN_OR_RETURN(config_.optimizer.skyline_join_pushdown,
-                        ParseBool(value));
-    return Status::OK();
-  }
-  if (k == "sparkline.optimizer.filterpushdown") {
-    SL_ASSIGN_OR_RETURN(config_.optimizer.filter_pushdown, ParseBool(value));
-    return Status::OK();
-  }
-  if (k == "sparkline.optimizer.constantfolding") {
-    SL_ASSIGN_OR_RETURN(config_.optimizer.constant_folding, ParseBool(value));
-    return Status::OK();
-  }
-  if (k == "sparkline.optimizer.columnpruning") {
-    SL_ASSIGN_OR_RETURN(config_.optimizer.column_pruning, ParseBool(value));
     return Status::OK();
   }
   if (k == "sparkline.cache.enabled") {
@@ -351,10 +317,7 @@ Result<PhysicalPlanPtr> Session::PlanPhysical(
   opts.cluster = config_.cluster;
   opts.skyline_strategy = config_.skyline_strategy;
   opts.skyline_kernel = config_.skyline_kernel;
-  opts.skyline_broadcast_filter = config_.skyline_broadcast_filter;
-  opts.scan_zone_maps = config_.scan_zone_maps;
   opts.skyline_partitioning = config_.skyline_partitioning;
-  opts.sfs_early_stop = config_.skyline_sfs_early_stop;
   opts.sfs_sort_key = config_.skyline_sfs_sort_key;
   opts.non_distributed_threshold = config_.non_distributed_threshold;
   PhysicalPlanner planner(opts);

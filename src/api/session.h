@@ -14,17 +14,8 @@
 //   sparkline.timeout_ms                    per-query timeout (0 = none)
 //   sparkline.memory.executorOverheadMb     simulated per-executor footprint
 //   sparkline.skyline.kernel                bnl | sfs | grid
-//   sparkline.skyline.broadcast_filter      bool, pre-gather broadcast-filter
-//                                           pruning (two-phase pruning, 1)
-//   sparkline.scan.zone_maps                bool, per-partition zone maps +
-//                                           partition skipping (phase 2)
 //   sparkline.skyline.partitioning          asis | roundrobin | angle
 //   sparkline.skyline.nonDistributedThreshold  rows; 0 disables (section 7)
-//   sparkline.optimizer.singleDimRewrite    bool
-//   sparkline.optimizer.skylineJoinPushdown bool
-//   sparkline.optimizer.filterPushdown      bool
-//   sparkline.optimizer.constantFolding     bool
-//   sparkline.optimizer.columnPruning       bool
 //   sparkline.cache.enabled                 bool, fingerprinted result cache
 //   sparkline.cache.capacity_bytes          cache byte budget
 //   sparkline.cache.ttl_ms                  entry TTL (0 = none)
@@ -82,31 +73,9 @@ struct SessionConfig {
   /// pruning (Tang et al., paper section 2). Key:
   /// sparkline.skyline.kernel = bnl | sfs | grid.
   SkylineKernel skyline_kernel = SkylineKernel::kBlockNestedLoop;
-  /// Phase one of two-phase distributed pruning: after the local skyline
-  /// stage, each partition nominates its SaLSa minmax-best points; the
-  /// union travels as a tiny broadcast filter and every partition prunes
-  /// its local skyline against it *before* the gather exchange pays for
-  /// shipping the rows. Strict-only elimination keeps results
-  /// bit-identical with the phase off; ineligible shapes (NULLs, DIFF,
-  /// BOOLEAN or rank-encoded dims) pass through. Key:
-  /// sparkline.skyline.broadcast_filter.
-  bool skyline_broadcast_filter = true;
-  /// Phase two: scans build per-partition zone maps (per-column min/max +
-  /// null counts, maintained incrementally on INSERT); the local skyline
-  /// stage drops whole partitions whose best corner is strictly dominated
-  /// by another partition's worst corner, before projection. Auto-disables
-  /// under incomplete dominance and for non-numeric/NULL/DIFF dimensions.
-  /// Key: sparkline.scan.zone_maps.
-  bool scan_zone_maps = true;
   /// Local-stage partitioning for complete data. Key:
   /// sparkline.skyline.partitioning = asis | roundrobin | angle.
   SkylinePartitioning skyline_partitioning = SkylinePartitioning::kAsIs;
-  /// SaLSa-style early termination for the SFS family (stop at the minC
-  /// stop point; the global merge inherits the tightest per-partition bound
-  /// through the columnar exchange). Auto-disabled for incomplete/NULL
-  /// data and strict-only, so results are identical with the toggle on or
-  /// off (DISTINCT included). Key: sparkline.skyline.sfs.early_stop.
-  bool skyline_sfs_early_stop = true;
   /// Monotone SFS sort key: "sum" (the pre-existing score order) or
   /// "minmax" (SaLSa's minC function — the key whose stop bound is tight).
   /// Key: sparkline.skyline.sfs.sort_key.

@@ -74,13 +74,12 @@ struct QueryMetrics {
   /// Estimated bytes those rows occupied on the wire (row estimate, plus
   /// packed matrix keys for batch partitions).
   int64_t exchange_bytes = 0;
-  /// Filter points nominated and broadcast by BroadcastFilterExec
-  /// (sparkline.skyline.broadcast_filter); 0 when the phase is off or
-  /// ineligible.
+  /// Filter points nominated and broadcast by BroadcastFilterExec; 0 when
+  /// the plan has no such stage or its input is ineligible.
   int64_t broadcast_filter_points = 0;
   /// Whole partitions dropped by a zone-map corner test — either
   /// LocalSkylineExec's pairwise best/worst-corner skip or
-  /// BroadcastFilterExec's filter-point veto (sparkline.scan.zone_maps).
+  /// BroadcastFilterExec's filter-point veto.
   int64_t partitions_skipped = 0;
   /// Local-skyline rows removed by the broadcast filter before the gather —
   /// rows that would otherwise have shipped and lost at the merge.
@@ -138,9 +137,8 @@ struct QueryMetrics {
 
   // --- SFS early-termination counters ---------------------------------------
   /// Input rows of SFS passes never scanned because a SaLSa stop point
-  /// proved every remaining tuple strictly dominated
-  /// (sparkline.skyline.sfs.early_stop). Summed across all passes (local
-  /// partitions, global partial slices, the global merge).
+  /// proved every remaining tuple strictly dominated. Summed across all
+  /// passes (local partitions, global partial slices, the global merge).
   int64_t sfs_rows_skipped = 0;
   /// SFS passes that terminated at a stop point before exhausting their
   /// input.

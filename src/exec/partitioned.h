@@ -31,7 +31,7 @@ struct PartitionedRelation {
   /// the gather exchange produce or consume batches; everyone else calls
   /// EnsureRows() first.
   std::vector<std::optional<skyline::ColumnarBatch>> batches;
-  /// Zone-map side channel (sparkline.scan.zone_maps): empty, or exactly
+  /// Zone-map side channel: empty, or exactly
   /// partitions.size() entries where zone_maps[i] summarizes the rows of
   /// partition i *in output-column ordinals*. Built by the scan during
   /// partitioning; propagated only by operators that keep partitions as

@@ -204,11 +204,10 @@ Result<ExprPtr> EvaluateSubqueries(const ExprPtr& e, ExecContext* ctx) {
 // --- ScanExec ---------------------------------------------------------------
 
 ScanExec::ScanExec(TablePtr table, std::vector<size_t> column_indices,
-                   std::vector<Attribute> output, bool build_zone_maps)
+                   std::vector<Attribute> output)
     : PhysicalPlan(std::move(output), {}),
       table_(std::move(table)),
-      column_indices_(std::move(column_indices)),
-      build_zone_maps_(build_zone_maps) {}
+      column_indices_(std::move(column_indices)) {}
 
 std::string ScanExec::label() const {
   return StrCat("Scan ", table_->name(), " [", column_indices_.size(),
@@ -221,7 +220,7 @@ Result<PartitionedRelation> ScanExec::Execute(ExecContext* ctx) const {
   PartitionedRelation out;
   out.attrs = output_;
   out.partitions.assign(n, {});
-  if (build_zone_maps_) out.zone_maps.assign(n, ZoneMap());
+  out.zone_maps.assign(n, ZoneMap());
 
   // Contiguous chunks, like a data source with n splits.
   const size_t per = (rows.size() + n - 1) / n;
@@ -233,12 +232,12 @@ Result<PartitionedRelation> ScanExec::Execute(ExecContext* ctx) const {
     // Per-partition zone map over the *projected* output columns, folded in
     // while the rows are copied anyway — the data-skipping metadata is free
     // relative to the copy itself.
-    if (build_zone_maps_) out.zone_maps[i] = ZoneMap(column_indices_.size());
+    out.zone_maps[i] = ZoneMap(column_indices_.size());
     for (size_t r = begin; r < end; ++r) {
       Row projected;
       projected.reserve(column_indices_.size());
       for (size_t c : column_indices_) projected.push_back(rows[r][c]);
-      if (build_zone_maps_) out.zone_maps[i].Observe(projected);
+      out.zone_maps[i].Observe(projected);
       part.push_back(std::move(projected));
     }
     return Status::OK();

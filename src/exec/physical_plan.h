@@ -129,12 +129,11 @@ class PhysicalPlan {
 /// applying column pruning while copying.
 class ScanExec : public PhysicalPlan {
  public:
-  /// With `build_zone_maps` (sparkline.scan.zone_maps) each output chunk
-  /// gets a per-partition ZoneMap over the *projected* columns, built while
-  /// the rows are copied — the data-skipping metadata LocalSkylineExec and
-  /// BroadcastFilterExec consult (see partitioned.h).
+  /// Each output chunk gets a per-partition ZoneMap over the *projected*
+  /// columns, built while the rows are copied — the data-skipping metadata
+  /// LocalSkylineExec and BroadcastFilterExec consult (see partitioned.h).
   ScanExec(TablePtr table, std::vector<size_t> column_indices,
-           std::vector<Attribute> output, bool build_zone_maps = false);
+           std::vector<Attribute> output);
   std::string label() const override;
   const char* failpoint_site() const override { return "exec.scan"; }
   Result<PartitionedRelation> Execute(ExecContext* ctx) const override;
@@ -142,7 +141,6 @@ class ScanExec : public PhysicalPlan {
  private:
   TablePtr table_;
   std::vector<size_t> column_indices_;
-  bool build_zone_maps_;
 };
 
 /// \brief Emits in-memory rows as a single partition.
@@ -387,8 +385,7 @@ class NestedLoopJoinExec : public PhysicalPlan {
 /// output views score-sorted so the global stage can inherit the sort
 /// order.
 ///
-/// With `zone_map_skipping` (sparkline.scan.zone_maps) and zone maps on the
-/// input relation, a partition whose per-dim *best corner* is strictly
+/// With zone maps on the input relation (the scan builds them), a partition whose per-dim *best corner* is strictly
 /// dominated by another partition's *worst corner* is dropped whole — before
 /// projection, not per-row (the vector generalization of the SaLSa
 /// stop-bound corner test; see docs/ARCHITECTURE.md for the soundness
@@ -399,9 +396,7 @@ class LocalSkylineExec : public PhysicalPlan {
   LocalSkylineExec(std::vector<skyline::BoundDimension> dims, bool distinct,
                    skyline::NullSemantics nulls, PhysicalPlanPtr child,
                    SkylineKernel kernel = SkylineKernel::kBlockNestedLoop,
-                   bool sfs_early_stop = true,
-                   skyline::SfsSortKey sfs_sort_key = skyline::SfsSortKey::kSum,
-                   bool zone_map_skipping = false);
+                   skyline::SfsSortKey sfs_sort_key = skyline::SfsSortKey::kSum);
   std::string label() const override;
   const char* failpoint_site() const override { return "exec.local_task"; }
   Result<PartitionedRelation> Execute(ExecContext* ctx) const override;
@@ -411,15 +406,12 @@ class LocalSkylineExec : public PhysicalPlan {
   bool distinct_;
   skyline::NullSemantics nulls_;
   SkylineKernel kernel_;
-  bool sfs_early_stop_;
   skyline::SfsSortKey sfs_sort_key_;
-  bool zone_map_skipping_;
 };
 
-/// \brief Phase one of two-phase distributed pruning
-/// (sparkline.skyline.broadcast_filter; ROADMAP item 2, after Ciaccia &
+/// \brief Phase one of two-phase distributed pruning (after Ciaccia &
 /// Martinenghi): sits between LocalSkylineExec and the gather exchange on
-/// the distributed complete path.
+/// every distributed complete plan.
 ///
 ///   [nominate]  each partition nominates its k strongest skyline points —
 ///               the SaLSa minmax-best tuples, whose small max-coordinate
@@ -433,7 +425,7 @@ class LocalSkylineExec : public PhysicalPlan {
 ///               dominated corner drops the whole partition), then row by
 ///               row via PruneAgainstFilter. Only *strictly* dominated rows
 ///               are removed — DISTINCT ties survive to the merge, so
-///               results stay bit-identical with the phase off.
+///               the result equals the unpruned skyline.
 ///
 /// Eligibility is per-relation: every non-empty partition must carry a
 /// batch projected for these dimensions over an all-numeric, NULL-free,
@@ -475,13 +467,12 @@ class BroadcastFilterExec : public PhysicalPlan {
 /// (inherited order + ColumnarSortFilterSkylinePresorted) and additionally
 /// inherit the tightest per-partition SaLSa stop bound the batch carries,
 /// so the partial slices and the sort-free merge can terminate before
-/// scanning most of the gathered input (sparkline.skyline.sfs.early_stop).
+/// scanning most of the gathered input.
 class GlobalSkylineExec : public PhysicalPlan {
  public:
   GlobalSkylineExec(std::vector<skyline::BoundDimension> dims, bool distinct,
                     PhysicalPlanPtr child,
                     SkylineKernel kernel = SkylineKernel::kBlockNestedLoop,
-                    bool sfs_early_stop = true,
                     skyline::SfsSortKey sfs_sort_key = skyline::SfsSortKey::kSum);
   std::string label() const override { return "GlobalSkyline [complete]"; }
   const char* failpoint_site() const override { return "exec.global_task"; }
@@ -491,7 +482,6 @@ class GlobalSkylineExec : public PhysicalPlan {
   std::vector<skyline::BoundDimension> dims_;
   bool distinct_;
   SkylineKernel kernel_;
-  bool sfs_early_stop_;
   skyline::SfsSortKey sfs_sort_key_;
 };
 

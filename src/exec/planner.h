@@ -5,6 +5,12 @@
 // skyline dimension is nullable; otherwise the incomplete algorithm with
 // null-bitmap partitioning. Session configuration can force a strategy,
 // which is how the benchmarks run all four algorithms of section 6.3.
+//
+// The pruning steps are not options: every scan builds zone maps, every
+// distributed complete plan carries zone-map partition skipping and the
+// pre-gather BroadcastFilterExec, and every SFS pass stops early. Each
+// removes only strictly dominated rows and turns itself off where that
+// cannot be proven (incomplete dominance, NULL bitmaps).
 #pragma once
 
 #include "common/result.h"
@@ -50,30 +56,10 @@ struct PlannerOptions {
   /// Kernel used by the skyline operators (paper future work: presorting).
   SkylineKernel skyline_kernel = SkylineKernel::kBlockNestedLoop;
   SkylinePartitioning skyline_partitioning = SkylinePartitioning::kAsIs;
-  /// SaLSa-style early termination for the SFS family: presorted passes
-  /// stop at the minC stop point (and the global merge inherits the
-  /// tightest per-partition bound through the columnar exchange).
-  /// Automatically disabled for incomplete/NULL data; never changes
-  /// results. Key: sparkline.skyline.sfs.early_stop.
-  bool sfs_early_stop = true;
   /// Monotone SFS sort key: sum (the pre-existing score) or minmax
   /// (SaLSa's minC function, whose stop bound is tight). Key:
   /// sparkline.skyline.sfs.sort_key.
   skyline::SfsSortKey sfs_sort_key = skyline::SfsSortKey::kSum;
-  /// Phase one of two-phase distributed pruning: nominate SaLSa minmax-best
-  /// points per partition after the local stage, broadcast the union, and
-  /// prune every local skyline against it before the gather exchange
-  /// (BroadcastFilterExec). Strict-only elimination keeps results
-  /// bit-identical; ineligible shapes pass through. Key:
-  /// sparkline.skyline.broadcast_filter.
-  bool skyline_broadcast_filter = true;
-  /// Phase two: per-partition zone maps built at scan time; the local
-  /// skyline stage drops whole partitions whose best corner another
-  /// partition's worst corner strictly dominates, and the broadcast filter
-  /// vetoes partitions whose best corner a filter point strictly dominates.
-  /// Auto-disables under incomplete dominance. Key:
-  /// sparkline.scan.zone_maps.
-  bool scan_zone_maps = true;
   /// Lightweight cost-based selection (paper section 7): below this
   /// estimated input cardinality the planner skips the distributed local
   /// stage, because the global stage dominates anyway. 0 disables.

@@ -130,17 +130,13 @@ bool CornerDominates(const std::vector<double>& worst,
 LocalSkylineExec::LocalSkylineExec(std::vector<skyline::BoundDimension> dims,
                                    bool distinct, skyline::NullSemantics nulls,
                                    PhysicalPlanPtr child, SkylineKernel kernel,
-                                   bool sfs_early_stop,
-                                   skyline::SfsSortKey sfs_sort_key,
-                                   bool zone_map_skipping)
+                                   skyline::SfsSortKey sfs_sort_key)
     : PhysicalPlan(child->output(), {child}),
       dims_(std::move(dims)),
       distinct_(distinct),
       nulls_(nulls),
       kernel_(kernel),
-      sfs_early_stop_(sfs_early_stop),
-      sfs_sort_key_(sfs_sort_key),
-      zone_map_skipping_(zone_map_skipping) {}
+      sfs_sort_key_(sfs_sort_key) {}
 
 std::string LocalSkylineExec::label() const {
   return StrCat("LocalSkyline [",
@@ -165,7 +161,6 @@ Result<PartitionedRelation> LocalSkylineExec::Execute(ExecContext* ctx) const {
   options.counter = ctx->dominance();
   options.deadline_nanos = ctx->deadline_nanos();
   options.cancel = ctx->cancel_token();
-  options.sfs_early_stop = sfs_early_stop_;
   options.sfs_sort_key = sfs_sort_key_;
   options.early_stop = ctx->early_stop();
 
@@ -190,8 +185,8 @@ Result<PartitionedRelation> LocalSkylineExec::Execute(ExecContext* ctx) const {
   // rows: a Filter may have emptied a partition whose scan-time zone still
   // claims a range.
   std::vector<char> skip(n, 0);
-  if (zone_map_skipping_ && nulls_ == skyline::NullSemantics::kComplete &&
-      n > 1 && in.zone_maps.size() == n) {
+  if (nulls_ == skyline::NullSemantics::kComplete && n > 1 &&
+      in.zone_maps.size() == n) {
     std::vector<std::vector<double>> best(n);
     std::vector<std::vector<double>> worst(n);
     std::vector<char> eligible(n, 0);
@@ -257,9 +252,8 @@ Result<PartitionedRelation> LocalSkylineExec::Execute(ExecContext* ctx) const {
     const bool sorted = kernel_ == SkylineKernel::kSortFilterSkyline &&
                         skyline::SfsFastPathApplicable(batch.matrix(), options);
     const double stop_bound =
-        sorted && sfs_early_stop_
-            ? skyline::ComputeStopBound(batch.matrix(), survivors)
-            : std::numeric_limits<double>::infinity();
+        sorted ? skyline::ComputeStopBound(batch.matrix(), survivors)
+               : std::numeric_limits<double>::infinity();
     out.batches[i] = batch.WithSelection(std::move(survivors), sorted,
                                          sfs_sort_key_, stop_bound);
     return Status::OK();
@@ -484,13 +478,12 @@ Result<skyline::ColumnarBatch> PhysicalPlan::GatheredBatch(
 
 GlobalSkylineExec::GlobalSkylineExec(std::vector<skyline::BoundDimension> dims,
                                      bool distinct, PhysicalPlanPtr child,
-                                     SkylineKernel kernel, bool sfs_early_stop,
+                                     SkylineKernel kernel,
                                      skyline::SfsSortKey sfs_sort_key)
     : PhysicalPlan(child->output(), {child}),
       dims_(std::move(dims)),
       distinct_(distinct),
       kernel_(kernel),
-      sfs_early_stop_(sfs_early_stop),
       sfs_sort_key_(sfs_sort_key) {}
 
 Result<PartitionedRelation> GlobalSkylineExec::Execute(ExecContext* ctx) const {
@@ -506,7 +499,6 @@ Result<PartitionedRelation> GlobalSkylineExec::Execute(ExecContext* ctx) const {
   options.counter = ctx->merge_dominance();
   options.deadline_nanos = ctx->deadline_nanos();
   options.cancel = ctx->cancel_token();
-  options.sfs_early_stop = sfs_early_stop_;
   options.sfs_sort_key = sfs_sort_key_;
   options.early_stop = ctx->early_stop();
 
@@ -519,7 +511,7 @@ Result<PartitionedRelation> GlobalSkylineExec::Execute(ExecContext* ctx) const {
                              batch.score_sorted() &&
                              batch.sort_key() == sfs_sort_key_ &&
                              skyline::SfsFastPathApplicable(matrix, options);
-  if (sfs_inherited && sfs_early_stop_) {
+  if (sfs_inherited) {
     // Inherited stop bound: the tightest per-partition minC shipped with
     // the gathered batch. Its witness row is part of the gathered input,
     // so eliminating through it is sound for the global result — the
@@ -537,9 +529,8 @@ Result<PartitionedRelation> GlobalSkylineExec::Execute(ExecContext* ctx) const {
                                       options);
   };
   auto result_bound = [&](const std::vector<uint32_t>& survivors) {
-    return sfs_inherited && sfs_early_stop_
-               ? skyline::ComputeStopBound(matrix, survivors)
-               : std::numeric_limits<double>::infinity();
+    return sfs_inherited ? skyline::ComputeStopBound(matrix, survivors)
+                         : std::numeric_limits<double>::infinity();
   };
 
   PartitionedRelation out;

@@ -2,9 +2,7 @@
 //
 // The physical planner replaces resolved ScalarSubquery expressions with
 // PhysicalSubqueryExpr nodes holding the planned subtree; operators call
-// EvaluateSubqueries() once per query to substitute the literal result
-// (this is how the single-dimension skyline optimization of paper section
-// 5.4 executes in O(n)).
+// EvaluateSubqueries() once per query to substitute the literal result.
 #pragma once
 
 #include "exec/physical_plan.h"

@@ -502,8 +502,7 @@ class ExistsSubquery : public Expression {
 };
 
 /// \brief A single-value subquery ("(SELECT min(x) FROM t)"); the physical
-/// planner evaluates the subplan once and substitutes the literal. Used by
-/// the paper's single-dimension skyline optimization (section 5.4).
+/// planner evaluates the subplan once and substitutes the literal.
 class ScalarSubquery : public Expression {
  public:
   ScalarSubquery(PlanPtr plan, DataType type, bool nullable, bool resolved)

@@ -2,8 +2,10 @@
 //
 // Rules run in named batches; each batch iterates to a fixed point (bounded
 // by max_iterations) before the next batch starts, exactly like Spark's
-// RuleExecutor. Skyline-specific rules are individually toggleable so the
-// ablation benchmarks can quantify them.
+// RuleExecutor. Every rule always runs; the one switch, rewriting skylines
+// to the plain-SQL reference plan, selects an algorithm rather than an
+// optimization. The measured effect of each rule is recorded in the
+// "Retired ablations" table of docs/ARCHITECTURE.md.
 #pragma once
 
 #include <functional>
@@ -16,13 +18,6 @@
 namespace sparkline {
 
 struct OptimizerOptions {
-  bool constant_folding = true;
-  bool filter_pushdown = true;
-  bool column_pruning = true;
-  /// Section 5.4: a 1-dimensional skyline is a scalar MIN/MAX lookup.
-  bool single_dim_skyline_rewrite = true;
-  /// Section 5.4: move the skyline below non-reductive joins.
-  bool skyline_join_pushdown = true;
   /// Replace every SkylineNode by the plain-SQL NOT EXISTS anti-join
   /// (Listing 4). Used to run the "reference" algorithm of section 6.3.
   bool rewrite_skyline_to_reference = false;
@@ -57,7 +52,7 @@ class Optimizer {
   std::vector<RuleBatch> batches_;
 };
 
-// Individual rules, exposed for unit tests and the ablation bench.
+// Individual rules, exposed so unit tests can apply one rule alone.
 namespace rules {
 
 Result<LogicalPlanPtr> EliminateSubqueryAliases(const LogicalPlanPtr& plan);
@@ -70,10 +65,6 @@ Result<LogicalPlanPtr> PushFilterThroughJoin(const LogicalPlanPtr& plan);
 Result<LogicalPlanPtr> CollapseProjects(const LogicalPlanPtr& plan);
 Result<LogicalPlanPtr> EliminateNoopProjects(const LogicalPlanPtr& plan);
 Result<LogicalPlanPtr> PruneScanColumns(const LogicalPlanPtr& plan);
-
-/// SkylineNode with one MIN/MAX dimension on provably complete input ->
-/// Filter(dim = (SELECT min/max(dim) FROM child)) (section 5.4).
-Result<LogicalPlanPtr> SingleDimSkylineRewrite(const LogicalPlanPtr& plan);
 
 /// SkylineNode over a non-reductive join whose dimensions come from the
 /// left side -> join over the skyline of the left side (section 5.4,

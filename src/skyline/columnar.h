@@ -313,9 +313,8 @@ Result<std::vector<uint32_t>> ColumnarBlockNestedLoop(
 /// lists as future work (section 7). Falls back to ColumnarBlockNestedLoop
 /// under incomplete semantics or when !all_numeric_minmax(). Sorts by
 /// options.sfs_sort_key; after sorting no tuple can be dominated by a later
-/// one, so the window only grows. With options.sfs_early_stop the filter
-/// pass terminates at the SaLSa stop point (auto-disabled when the matrix
-/// has NULL bitmaps — results are identical either way).
+/// one, so the window only grows. The filter pass terminates at the SaLSa
+/// stop point (turned off when the matrix has NULL bitmaps).
 Result<std::vector<uint32_t>> ColumnarSortFilterSkyline(
     const DominanceMatrix& matrix, const std::vector<uint32_t>& input,
     const SkylineOptions& options);
@@ -333,8 +332,8 @@ inline bool SfsFastPathApplicable(const DominanceMatrix& matrix,
 /// \brief Sort-Filter-Skyline over input that is *already* ascending in the
 /// active sort key (options.sfs_sort_key) — the inherited-order variant the
 /// merge stage runs when its input views come from upstream SFS stages,
-/// skipping the re-sort entirely. Honours options.sfs_early_stop and any
-/// inherited options.sfs_stop_bound (the tightest per-partition bound the
+/// skipping the re-sort entirely. Stops early like the sorting variant and
+/// honours any inherited options.sfs_stop_bound (the tightest per-partition bound the
 /// gathered batch carries), so a presorted merge can terminate before
 /// scanning most of the gathered input.
 ///

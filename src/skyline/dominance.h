@@ -49,7 +49,7 @@ struct DominanceCounter {
 };
 
 /// \brief Accounting for SaLSa-style early termination in the SFS family
-/// (see SkylineOptions::sfs_early_stop). Shared across threads; the exec
+/// (see SkylineOptions). Shared across threads; the exec
 /// layer surfaces the totals as QueryMetrics::sfs_rows_skipped /
 /// sfs_early_stops.
 struct EarlyStopStats {

@@ -321,7 +321,6 @@ TEST(ColumnarKernelTest, EveryKernelHonorsCancelledToken) {
   for (const SfsSortKey key : {SfsSortKey::kSum, SfsSortKey::kMinMax}) {
     SkylineOptions opts;
     opts.cancel = &token;
-    opts.sfs_early_stop = true;
     opts.sfs_sort_key = key;
     auto r = ColumnarSkyline(ColumnarKernel::kSortFilterSkyline,
                              CorrelatedRows(20000, 4, 23), dims, opts);
@@ -601,10 +600,9 @@ TEST(ColumnarBatchTest, MatrixMemoryChargedForBatchLifetime) {
 
 std::vector<Row> SfsWith(const std::vector<Row>& rows,
                          const std::vector<BoundDimension>& dims,
-                         bool early_stop, SfsSortKey key, bool distinct,
+                         SfsSortKey key, bool distinct,
                          EarlyStopStats* stats = nullptr) {
   SkylineOptions options;
-  options.sfs_early_stop = early_stop;
   options.sfs_sort_key = key;
   options.distinct = distinct;
   options.early_stop = stats;
@@ -614,7 +612,7 @@ std::vector<Row> SfsWith(const std::vector<Row>& rows,
   return *std::move(result);
 }
 
-TEST(SfsEarlyStop, ResultIdenticalToFullScanAcrossKeysAndDistributions) {
+TEST(SfsEarlyStop, ResultMatchesOracleInSortOrderAcrossKeysAndDistributions) {
   struct Workload {
     const char* name;
     std::vector<Row> rows;
@@ -628,24 +626,35 @@ TEST(SfsEarlyStop, ResultIdenticalToFullScanAcrossKeysAndDistributions) {
     const size_t num_dims = w.rows[0].size();
     auto dims = MinDims(num_dims);
     dims[1].goal = SkylineGoal::kMax;  // exercise the negated-key path
+    const DominanceMatrix matrix = DominanceMatrix::Build(w.rows, dims);
     for (const SfsSortKey key : {SfsSortKey::kSum, SfsSortKey::kMinMax}) {
       for (const bool distinct : {false, true}) {
-        const std::vector<Row> full =
-            SfsWith(w.rows, dims, /*early_stop=*/false, key, distinct);
-        const std::vector<Row> stopped =
-            SfsWith(w.rows, dims, /*early_stop=*/true, key, distinct);
-        // SFS output order is the sort order, so the full sequence (not
-        // just the set) must match.
-        ASSERT_EQ(full.size(), stopped.size())
-            << w.name << " key=" << static_cast<int>(key)
-            << " distinct=" << distinct;
-        for (size_t i = 0; i < full.size(); ++i) {
-          EXPECT_EQ(RowToString(full[i]), RowToString(stopped[i]));
+        SkylineOptions options;
+        options.sfs_sort_key = key;
+        options.distinct = distinct;
+        auto stopped =
+            ColumnarSortFilterSkyline(matrix, AllIndices(matrix), options);
+        ASSERT_TRUE(stopped.ok()) << stopped.status().ToString();
+        // The stop only cuts the tail of the pass, so the output is still
+        // the window in sort-key order (ascending (MinKey, Score) for
+        // kMinMax, ascending Score for kSum)...
+        for (size_t i = 1; i < stopped->size(); ++i) {
+          const uint32_t a = (*stopped)[i - 1];
+          const uint32_t b = (*stopped)[i];
+          if (key == SfsSortKey::kMinMax) {
+            ASSERT_LE(matrix.MinKey(a), matrix.MinKey(b)) << w.name;
+            if (matrix.MinKey(a) < matrix.MinKey(b)) continue;
+          }
+          ASSERT_LE(matrix.Score(a), matrix.Score(b))
+              << w.name << " key=" << static_cast<int>(key);
         }
+        // ...and, as a set, exactly the skyline.
         SkylineOptions oracle_options;
         oracle_options.distinct = distinct;
-        EXPECT_EQ(Sorted(stopped),
-                  Sorted(BruteForceSkyline(w.rows, dims, oracle_options)));
+        EXPECT_EQ(Sorted(MaterializeRows(w.rows, *stopped)),
+                  Sorted(BruteForceSkyline(w.rows, dims, oracle_options)))
+            << w.name << " key=" << static_cast<int>(key)
+            << " distinct=" << distinct;
       }
     }
   }
@@ -655,7 +664,7 @@ TEST(SfsEarlyStop, SkipsMostRowsOnCorrelatedData) {
   const std::vector<Row> rows = CorrelatedRows(2000, 4, 11);
   const auto dims = MinDims(4);
   EarlyStopStats stats;
-  SfsWith(rows, dims, /*early_stop=*/true, SfsSortKey::kMinMax, false, &stats);
+  SfsWith(rows, dims, SfsSortKey::kMinMax, false, &stats);
   EXPECT_GE(stats.stops.load(), 1);
   EXPECT_GT(stats.rows_skipped.load(), static_cast<int64_t>(rows.size()) / 3)
       << "the minC stop point must skip >1/3 of a correlated input";
@@ -672,7 +681,6 @@ TEST(SfsEarlyStop, AutoDisabledOnNullBitmaps) {
   ASSERT_TRUE(matrix.has_nulls());
   EarlyStopStats stats;
   SkylineOptions options;
-  options.sfs_early_stop = true;
   options.sfs_sort_key = SfsSortKey::kMinMax;
   options.early_stop = &stats;
   auto result =

@@ -39,16 +39,19 @@ std::vector<std::string> Canonical(std::vector<Row> rows) {
   return ::sparkline::testing::RowStrings(rows);
 }
 
-/// id, z (BIGINT), y (DOUBLE), b (BIGINT NULL), x (DOUBLE NULL). The rows
-/// come in eight contiguous blocks; each block draws its huge BIGINTs from
-/// its own disjoint range, so whichever executor count splits the scan, the
-/// partitions rank-encode different value sets and the gather must re-rank.
+/// id, z (BIGINT), y (DOUBLE), b (BIGINT NULL), x (DOUBLE NULL), w (DOUBLE
+/// NULL, but never NULL: a nullable column that a COMPLETE skyline may
+/// declare complete). The rows come in eight contiguous blocks; each block
+/// draws its huge BIGINTs from its own disjoint range, so whichever executor
+/// count splits the scan, the partitions rank-encode different value sets
+/// and the gather must re-rank.
 TablePtr MakeExtremeTable(uint64_t seed) {
   Schema schema({Field{"id", DataType::Int64(), false},
                  Field{"z", DataType::Int64(), false},
                  Field{"y", DataType::Double(), false},
                  Field{"b", DataType::Int64(), true},
-                 Field{"x", DataType::Double(), true}});
+                 Field{"x", DataType::Double(), true},
+                 Field{"w", DataType::Double(), true}});
   auto table = std::make_shared<Table>("ex", schema);
   Rng rng(seed);
   const double specials[] = {kNaN, -kNaN, kInf, -kInf, 0.0, -0.0};
@@ -77,12 +80,19 @@ TablePtr MakeExtremeTable(uint64_t seed) {
   int64_t id = 0;
   for (int64_t block = 0; block < 8; ++block) {
     for (int r = 0; r < 12; ++r) {
+      // w's minimum is ±0.0 and its maximum NaN, with small ties between;
+      // it draws nothing from the generator, so the other columns keep
+      // their values.
+      const double w_specials[] = {0.0, -0.0, kNaN, -kNaN};
+      const double w = id % 3 == 0 ? w_specials[(id / 3) % 4]
+                                   : static_cast<double>(1 + (id * 7) % 3);
       Row row{Value::Int64(id++), Value::Int64(pick_bigint(block)),
               Value::Double(pick_double()),
               rng.Bernoulli(0.25) ? Value::Null(DataType::Int64())
                                   : Value::Int64(pick_bigint(block)),
               rng.Bernoulli(0.2) ? Value::Null(DataType::Double())
-                                 : Value::Double(pick_double())};
+                                 : Value::Double(pick_double()),
+              Value::Double(w)};
       if (rng.Bernoulli(0.15)) {
         SL_CHECK_OK(table->AppendRow(row));  // an exact duplicate
       }
@@ -96,6 +106,7 @@ struct DiffQuery {
   std::vector<const char*> columns;  // skyline dimension columns
   std::vector<SkylineGoal> goals;
   bool incomplete;  // nullable dimensions: the planner picks incomplete
+  bool complete_keyword = false;  // SKYLINE OF COMPLETE ...
 };
 
 std::string GoalName(SkylineGoal goal) {
@@ -114,7 +125,7 @@ TEST(ExtremeValueDifferential, EveryConfigurationMatchesOracle) {
   const TablePtr table = MakeExtremeTable(2024);
   Session session;
   ASSERT_OK(session.catalog()->RegisterTable(table));
-  const std::vector<std::string> names = {"id", "z", "y", "b", "x"};
+  const std::vector<std::string> names = {"id", "z", "y", "b", "x", "w"};
 
   const std::vector<DiffQuery> queries = {
       {{"z", "y"}, {SkylineGoal::kMin, SkylineGoal::kMax}, false},
@@ -122,6 +133,16 @@ TEST(ExtremeValueDifferential, EveryConfigurationMatchesOracle) {
       {{"b", "x", "y"},
        {SkylineGoal::kMin, SkylineGoal::kMax, SkylineGoal::kMin},
        true},
+      // 1-dimensional skylines are the rows tied at the optimum: huge
+      // BIGINTs with ties and duplicates, ±inf and NaN (the greatest
+      // double), ±0.0 (one value) under a COMPLETE skyline over a nullable
+      // column, and NULLs (incomparable, so every NULL row survives).
+      {{"z"}, {SkylineGoal::kMin}, false},
+      {{"z"}, {SkylineGoal::kMax}, false},
+      {{"y"}, {SkylineGoal::kMin}, false},
+      {{"y"}, {SkylineGoal::kMax}, false},
+      {{"w"}, {SkylineGoal::kMin}, false, /*complete_keyword=*/true},
+      {{"x"}, {SkylineGoal::kMax}, true},
   };
   int runs = 0;
   for (const DiffQuery& q : queries) {
@@ -149,7 +170,9 @@ TEST(ExtremeValueDifferential, EveryConfigurationMatchesOracle) {
                    : "*";
       const std::string sql =
           StrCat("SELECT ", select, " FROM ex SKYLINE OF ",
-                 distinct ? "DISTINCT " : "", JoinStrings(items, ", "));
+                 distinct ? "DISTINCT " : "",
+                 q.complete_keyword ? "COMPLETE " : "",
+                 JoinStrings(items, ", "));
       skyline::SkylineOptions oracle_options;
       oracle_options.distinct = distinct;
       oracle_options.nulls = q.incomplete ? skyline::NullSemantics::kIncomplete
@@ -187,7 +210,10 @@ TEST(ExtremeValueDifferential, EveryConfigurationMatchesOracle) {
       }
     }
   }
-  EXPECT_EQ(runs, 2 * (2 * 5 + 3) * 27);
+  // Per DISTINCT setting: seven complete queries × five strategies and two
+  // incomplete ones × three, each over 27 kernel × partitioning × executor
+  // configurations.
+  EXPECT_EQ(runs, 2 * (7 * 5 + 2 * 3) * 27);
 }
 
 // The NaN probe: before NaN had one order, the skyline of a table with a

@@ -125,7 +125,9 @@ TEST(DominanceTest, AntisymmetryHoldsOnRandomCompleteData) {
     if (ab == Dominance::kIncomparable) {
       EXPECT_EQ(ba, Dominance::kIncomparable);
     }
-    if (ab == Dominance::kEqual) EXPECT_EQ(ba, Dominance::kEqual);
+    if (ab == Dominance::kEqual) {
+      EXPECT_EQ(ba, Dominance::kEqual);
+    }
   }
 }
 

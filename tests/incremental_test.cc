@@ -313,7 +313,8 @@ TEST_F(IncrementalSessionTest, ZoneMapsStayExactUnderWrites) {
     }
   }
 
-  // (b) The delta-maintained entry and zone-map-pruned cold execution agree.
+  // (b) The delta-maintained entry, zone-map-pruned cold execution and the
+  // brute-force oracle agree.
   ASSERT_OK_AND_ASSIGN(auto df, session_->Sql(sql));
   ASSERT_OK_AND_ASSIGN(QueryResult served, df.Collect());
   Session cold;
@@ -321,9 +322,10 @@ TEST_F(IncrementalSessionTest, ZoneMapsStayExactUnderWrites) {
   ASSERT_OK(cold.catalog()->RegisterTable(table));
   const auto fresh = Rows(&cold, sql);
   EXPECT_SAME_ROWS(served.rows(), fresh);
-  ASSERT_OK(cold.SetConf("sparkline.scan.zone_maps", "false"));
-  ASSERT_OK(cold.SetConf("sparkline.skyline.broadcast_filter", "false"));
-  EXPECT_SAME_ROWS(fresh, Rows(&cold, sql));
+  EXPECT_SAME_ROWS(fresh, skyline::BruteForceSkyline(
+                              table->rows(),
+                              {{1, SkylineGoal::kMin}, {2, SkylineGoal::kMin}},
+                              {}));
 }
 
 TEST_F(IncrementalSessionTest, IncrementalOffInvalidates) {

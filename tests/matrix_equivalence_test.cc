@@ -57,18 +57,16 @@ TEST_P(ConfigMatrix, AllConfigurationsAgreeWithBruteForce) {
       skyline::BruteForceSkyline(table->rows(), oracle_dims, oracle_options));
   ASSERT_FALSE(expected.empty());
 
-  // The kernel axis crosses SFS with its early-stop and sort-key knobs
-  // (which only the SFS family consults); BNL and grid run once each.
+  // The kernel axis crosses SFS with its sort key (which only the SFS
+  // family consults); BNL and grid run once each. Zone-map skipping, the
+  // broadcast filter and the SFS early stop run in every configuration
+  // they apply to.
   struct KernelConfig {
     const char* kernel;
-    const char* early_stop;
     const char* sort_key;
   };
   const std::vector<KernelConfig> kernels = {
-      {"bnl", "true", "sum"},          {"grid", "true", "sum"},
-      {"sfs", "true", "sum"},          {"sfs", "true", "minmax"},
-      {"sfs", "false", "sum"},         {"sfs", "false", "minmax"},
-  };
+      {"bnl", "sum"}, {"grid", "sum"}, {"sfs", "sum"}, {"sfs", "minmax"}};
 
   int combinations = 0;
   // The Listing-4 rewrite (strategy=reference) keeps the native node for
@@ -83,46 +81,26 @@ TEST_P(ConfigMatrix, AllConfigurationsAgreeWithBruteForce) {
     for (const KernelConfig& kernel : kernels) {
       for (const char* partitioning : {"asis", "roundrobin", "angle"}) {
         for (const char* executors : {"1", "3", "8"}) {
-          // Two-phase pruning axes (broadcast filter × zone maps): both
-          // phases claim bit-identical results, so they join the full
-          // cross rather than getting their own narrower sweep.
-          const std::pair<const char*, const char*> pruning_axis[] = {
-              {"true", "true"},
-              {"true", "false"},
-              {"false", "true"},
-              {"false", "false"}};
-          for (const auto& pruning : pruning_axis) {
-            ASSERT_OK(session.SetConf("sparkline.skyline.strategy", strategy));
-            ASSERT_OK(
-                session.SetConf("sparkline.skyline.kernel", kernel.kernel));
-            ASSERT_OK(session.SetConf("sparkline.skyline.sfs.early_stop",
-                                      kernel.early_stop));
-            ASSERT_OK(session.SetConf("sparkline.skyline.sfs.sort_key",
-                                      kernel.sort_key));
-            ASSERT_OK(session.SetConf("sparkline.skyline.partitioning",
-                                      partitioning));
-            ASSERT_OK(session.SetConf("sparkline.executors", executors));
-            ASSERT_OK(session.SetConf("sparkline.skyline.broadcast_filter",
-                                      pruning.first));
-            ASSERT_OK(
-                session.SetConf("sparkline.scan.zone_maps", pruning.second));
-            auto rows = RowStrings(Rows(&session, query));
-            ASSERT_EQ(expected, rows)
-                << "strategy=" << strategy << " kernel=" << kernel.kernel
-                << " early_stop=" << kernel.early_stop
-                << " sort_key=" << kernel.sort_key
-                << " partitioning=" << partitioning
-                << " executors=" << executors
-                << " broadcast_filter=" << pruning.first
-                << " zone_maps=" << pruning.second;
-            ++combinations;
-          }
+          ASSERT_OK(session.SetConf("sparkline.skyline.strategy", strategy));
+          ASSERT_OK(session.SetConf("sparkline.skyline.kernel", kernel.kernel));
+          ASSERT_OK(session.SetConf("sparkline.skyline.sfs.sort_key",
+                                    kernel.sort_key));
+          ASSERT_OK(
+              session.SetConf("sparkline.skyline.partitioning", partitioning));
+          ASSERT_OK(session.SetConf("sparkline.executors", executors));
+          auto rows = RowStrings(Rows(&session, query));
+          ASSERT_EQ(expected, rows)
+              << "strategy=" << strategy << " kernel=" << kernel.kernel
+              << " sort_key=" << kernel.sort_key
+              << " partitioning=" << partitioning
+              << " executors=" << executors;
+          ++combinations;
         }
       }
     }
   }
-  // strategies × kernels × partitionings × executor counts × pruning.
-  EXPECT_GE(combinations, 2 * 6 * 3 * 3 * 4);
+  // strategies × kernels × partitionings × executor counts.
+  EXPECT_GE(combinations, 2 * 4 * 3 * 3);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -180,30 +158,18 @@ TEST_P(IncompleteParallel, MatchesBruteForceOracle) {
   const std::vector<std::string> executor_counts = {
       "1", "2", "3", "8", std::to_string(param.rows)};
   for (const std::string& executors : executor_counts) {
-    // The two-phase pruning flags must be inert here: zone-map skipping and
-    // the broadcast filter are complete-dominance-only optimizations and
-    // auto-disable under incomplete semantics.
-    const std::pair<const char*, const char*> pruning_axis[] = {
-        {"true", "true"}, {"false", "false"}};
-    for (const auto& pruning : pruning_axis) {
-      ASSERT_OK(session.SetConf("sparkline.executors", executors));
-      ASSERT_OK(
-          session.SetConf("sparkline.skyline.broadcast_filter", pruning.first));
-      ASSERT_OK(session.SetConf("sparkline.scan.zone_maps", pruning.second));
-      ASSERT_EQ(expected, RowStrings(Rows(&session, query)))
-          << "executors=" << executors
-          << " broadcast_filter=" << pruning.first
-          << " zone_maps=" << pruning.second;
-    }
+    ASSERT_OK(session.SetConf("sparkline.executors", executors));
+    ASSERT_EQ(expected, RowStrings(Rows(&session, query)))
+        << "executors=" << executors;
   }
 }
 
 // Zone-map partition skipping is a complete-dominance optimization: under
 // incomplete semantics (non-transitive dominance, NULL coordinates outside
-// the min/max summary) it must auto-disable even with both pruning flags
-// on. Pinned through QueryMetrics: no partition is ever skipped and no
-// broadcast filter point is nominated, while the same flags on complete
-// data do fire (guarding against the pin passing vacuously).
+// the min/max summary) it must turn itself off. Pinned through
+// QueryMetrics: no partition is ever skipped and no broadcast filter point
+// is nominated, while the same session on complete data does fire
+// (guarding against the pin passing vacuously).
 TEST(TwoPhasePruning, AutoDisablesUnderIncompleteDominance) {
   Session session;
   ASSERT_OK(session.catalog()->RegisterTable(datagen::GeneratePoints(
@@ -213,8 +179,6 @@ TEST(TwoPhasePruning, AutoDisablesUnderIncompleteDominance) {
       "pts_full", 1200, 3, datagen::PointDistribution::kCorrelated, 7,
       /*null_probability=*/0.0)));
   ASSERT_OK(session.SetConf("sparkline.executors", "8"));
-  ASSERT_OK(session.SetConf("sparkline.skyline.broadcast_filter", "true"));
-  ASSERT_OK(session.SetConf("sparkline.scan.zone_maps", "true"));
 
   auto metrics_for = [&](const char* strategy, const char* table) {
     SL_CHECK_OK(session.SetConf("sparkline.skyline.strategy", strategy));
@@ -231,7 +195,7 @@ TEST(TwoPhasePruning, AutoDisablesUnderIncompleteDominance) {
   EXPECT_EQ(incomplete.broadcast_filter_points, 0);
   EXPECT_EQ(incomplete.rows_pruned_pre_gather, 0);
 
-  // Control: the same flags on complete correlated data fire both phases
+  // Control: complete correlated data fires both phases
   // (correlated clusters give partitions strictly dominating corners).
   const QueryMetrics complete = metrics_for("distributed", "pts_full");
   EXPECT_GT(complete.broadcast_filter_points, 0);
@@ -451,8 +415,8 @@ std::vector<std::string> OrderedRowStrings(const std::vector<Row>& rows) {
 // MergeByScore tie-break determinism, end to end: SFS output order is the
 // global stable sort order, so equal-key rows coming from different
 // partitions must reproduce the single-partition sequence exactly — the
-// result must be bit-identical (order included) across executor counts,
-// sort keys and early-stop settings. Low-cardinality values force many
+// result must be bit-identical (order included) across executor counts
+// and sort keys. Low-cardinality values force many
 // equal scores, equal min-keys and exact duplicate tuples.
 TEST(SfsOrderDeterminism, ExchangeMergeReproducesSinglePartitionOrder) {
   std::vector<std::array<double, 3>> pts;
@@ -470,20 +434,16 @@ TEST(SfsOrderDeterminism, ExchangeMergeReproducesSinglePartitionOrder) {
        {"SELECT x, y FROM pts SKYLINE OF x MIN, y MIN",
         "SELECT x, y FROM pts SKYLINE OF DISTINCT x MIN, y MIN"}) {
     for (const char* sort_key : {"sum", "minmax"}) {
-      for (const char* early_stop : {"true", "false"}) {
-        ASSERT_OK(session.SetConf("sparkline.skyline.sfs.sort_key", sort_key));
-        ASSERT_OK(
-            session.SetConf("sparkline.skyline.sfs.early_stop", early_stop));
-        ASSERT_OK(session.SetConf("sparkline.executors", "1"));
-        const std::vector<std::string> reference =
-            OrderedRowStrings(Rows(&session, query));
-        ASSERT_FALSE(reference.empty());
-        for (const char* executors : {"2", "4", "8"}) {
-          ASSERT_OK(session.SetConf("sparkline.executors", executors));
-          EXPECT_EQ(reference, OrderedRowStrings(Rows(&session, query)))
-              << query << " sort_key=" << sort_key
-              << " early_stop=" << early_stop << " executors=" << executors;
-        }
+      ASSERT_OK(session.SetConf("sparkline.skyline.sfs.sort_key", sort_key));
+      ASSERT_OK(session.SetConf("sparkline.executors", "1"));
+      const std::vector<std::string> reference =
+          OrderedRowStrings(Rows(&session, query));
+      ASSERT_FALSE(reference.empty());
+      for (const char* executors : {"2", "4", "8"}) {
+        ASSERT_OK(session.SetConf("sparkline.executors", executors));
+        EXPECT_EQ(reference, OrderedRowStrings(Rows(&session, query)))
+            << query << " sort_key=" << sort_key
+            << " executors=" << executors;
       }
     }
   }
@@ -493,11 +453,13 @@ TEST(SfsOrderDeterminism, ExchangeMergeReproducesSinglePartitionOrder) {
 
 // On correlated data the minC stop point must skip a large fraction of the
 // input (acceptance bar: >30% of the table rows), visible through the
-// sfs_rows_skipped / sfs_early_stops counters, without changing the result.
+// sfs_rows_skipped / sfs_early_stops counters, and the result must still
+// match the brute-force oracle.
 TEST(SfsEarlyStopEndToEnd, CorrelatedSkylineSkipsAndMatches) {
   Session session;
-  ASSERT_OK(session.catalog()->RegisterTable(datagen::GeneratePoints(
-      "pts", 4000, 3, datagen::PointDistribution::kCorrelated, 77)));
+  TablePtr table = datagen::GeneratePoints(
+      "pts", 4000, 3, datagen::PointDistribution::kCorrelated, 77);
+  ASSERT_OK(session.catalog()->RegisterTable(table));
   ASSERT_OK(session.SetConf("sparkline.skyline.strategy", "distributed"));
   ASSERT_OK(session.SetConf("sparkline.skyline.kernel", "sfs"));
   ASSERT_OK(session.SetConf("sparkline.skyline.sfs.sort_key", "minmax"));
@@ -505,27 +467,20 @@ TEST(SfsEarlyStopEndToEnd, CorrelatedSkylineSkipsAndMatches) {
   const std::string query =
       "SELECT * FROM pts SKYLINE OF d0 MIN, d1 MIN, d2 MIN";
 
-  auto run = [&](const char* early_stop) {
-    SL_CHECK_OK(
-        session.SetConf("sparkline.skyline.sfs.early_stop", early_stop));
-    auto df = session.Sql(query);
-    SL_CHECK(df.ok());
-    auto r = df->Collect();
-    SL_CHECK(r.ok()) << r.status().ToString();
-    return *std::move(r);
-  };
-
-  const QueryResult off = run("false");
-  EXPECT_EQ(off.metrics.sfs_rows_skipped, 0);
-  EXPECT_EQ(off.metrics.sfs_early_stops, 0);
-
-  const QueryResult on = run("true");
-  EXPECT_GE(on.metrics.sfs_early_stops, 1);
-  EXPECT_GT(on.metrics.sfs_rows_skipped, 4000 * 3 / 10)
+  auto df = session.Sql(query);
+  ASSERT_TRUE(df.ok());
+  auto result = df->Collect();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_GE(result->metrics.sfs_early_stops, 1);
+  EXPECT_GT(result->metrics.sfs_rows_skipped, 4000 * 3 / 10)
       << "the stop point must skip >30% of a correlated table";
-  EXPECT_LT(on.metrics.dominance_tests, off.metrics.dominance_tests)
-      << "skipped rows must translate into fewer dominance tests";
-  EXPECT_EQ(RowStrings(off.rows()), RowStrings(on.rows()));
+  EXPECT_EQ(RowStrings(result->rows()),
+            RowStrings(skyline::BruteForceSkyline(
+                table->rows(),
+                {{1, SkylineGoal::kMin},
+                 {2, SkylineGoal::kMin},
+                 {3, SkylineGoal::kMin}},
+                {})));
 }
 
 // With NULLs in the skyline dimensions the stop is unsound and must
@@ -538,7 +493,6 @@ TEST(SfsEarlyStopEndToEnd, AutoDisabledOnIncompleteData) {
       "pts", 800, 3, datagen::PointDistribution::kCorrelated, 78,
       /*null_probability=*/0.3)));
   ASSERT_OK(session.SetConf("sparkline.skyline.kernel", "sfs"));
-  ASSERT_OK(session.SetConf("sparkline.skyline.sfs.early_stop", "true"));
   ASSERT_OK(session.SetConf("sparkline.skyline.sfs.sort_key", "minmax"));
   ASSERT_OK(session.SetConf("sparkline.executors", "4"));
 

@@ -113,7 +113,9 @@ TEST(HistogramTest, BucketBoundsContainTheirValues) {
     const int64_t ub = Histogram::BucketUpperBound(idx);
     EXPECT_GE(ub, v) << v;
     EXPECT_LE(ub, v + v / 4 + 1) << v;
-    if (idx > 0) EXPECT_LT(Histogram::BucketUpperBound(idx - 1), v) << v;
+    if (idx > 0) {
+      EXPECT_LT(Histogram::BucketUpperBound(idx - 1), v) << v;
+    }
   }
   // The extremes: INT64_MAX lands in the last bucket, rendered +Inf.
   const int last = Histogram::BucketIndex(std::numeric_limits<int64_t>::max());

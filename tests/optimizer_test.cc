@@ -135,42 +135,23 @@ TEST_F(OptimizerTest, DistinctBecomesAggregate) {
   EXPECT_EQ(CountNodes(plan, PlanKind::kAggregate), 1);
 }
 
-TEST_F(OptimizerTest, SingleDimSkylineBecomesScalarLookup) {
-  // Section 5.4: one MIN dimension on non-nullable input -> Filter over a
-  // scalar min() subquery, no Skyline node left.
-  auto plan = Optimize("SELECT * FROM listings SKYLINE OF price MIN");
-  EXPECT_EQ(CountNodes(plan, PlanKind::kSkyline), 0);
-  EXPECT_EQ(CountNodes(plan, PlanKind::kFilter), 1);
-}
-
-TEST_F(OptimizerTest, SingleDimRewriteSkippedWhenNullable) {
-  // rating is nullable and COMPLETE is not set: null tuples belong to the
-  // skyline, so the rewrite must not fire.
-  auto plan = Optimize("SELECT * FROM listings SKYLINE OF rating MAX");
-  EXPECT_EQ(CountNodes(plan, PlanKind::kSkyline), 1);
-}
-
-TEST_F(OptimizerTest, SingleDimRewriteFiresWithCompleteKeyword) {
-  auto plan = Optimize("SELECT * FROM listings SKYLINE OF COMPLETE rating MAX");
-  EXPECT_EQ(CountNodes(plan, PlanKind::kSkyline), 0);
-}
-
-TEST_F(OptimizerTest, SingleDimRewriteRespectsToggle) {
-  OptimizerOptions opts;
-  opts.single_dim_skyline_rewrite = false;
-  auto plan = Optimize("SELECT * FROM listings SKYLINE OF price MIN", opts);
-  EXPECT_EQ(CountNodes(plan, PlanKind::kSkyline), 1);
-}
-
-TEST_F(OptimizerTest, SingleDimRewriteSkippedForDistinctAndDiff) {
-  EXPECT_EQ(CountNodes(
-                Optimize("SELECT * FROM listings SKYLINE OF DISTINCT price MIN"),
-                PlanKind::kSkyline),
-            1);
-  EXPECT_EQ(
-      CountNodes(Optimize("SELECT * FROM listings SKYLINE OF host DIFF"),
-                 PlanKind::kSkyline),
-      1);
+TEST_F(OptimizerTest, SingleDimSkylineKeepsSkylineNode) {
+  // Section 5.4's scalar MIN/MAX rewrite is not applied: the skyline
+  // operator answers a 1-dimensional skyline in one pass, and faster (see
+  // "Retired ablations" in docs/ARCHITECTURE.md). Every 1-dim shape keeps
+  // its Skyline node and gains no Filter or scalar subquery.
+  for (const char* sql :
+       {"SELECT * FROM listings SKYLINE OF price MIN",
+        "SELECT * FROM listings SKYLINE OF price MAX",
+        "SELECT * FROM listings SKYLINE OF rating MAX",
+        "SELECT * FROM listings SKYLINE OF COMPLETE rating MAX",
+        "SELECT * FROM listings SKYLINE OF DISTINCT price MIN",
+        "SELECT * FROM listings SKYLINE OF host DIFF"}) {
+    auto plan = Optimize(sql);
+    EXPECT_EQ(CountNodes(plan, PlanKind::kSkyline), 1) << sql;
+    EXPECT_EQ(CountNodes(plan, PlanKind::kFilter), 0) << sql;
+    EXPECT_EQ(CountNodes(plan, PlanKind::kAggregate), 0) << sql;
+  }
 }
 
 TEST_F(OptimizerTest, SkylinePushedBelowFkJoin) {
@@ -225,22 +206,6 @@ TEST_F(OptimizerTest, SkylineNotPushedWhenDimsUseRightSide) {
   auto plan = Optimize(
       "SELECT l.price, h.since FROM listings l JOIN hosts h ON l.host = h.id "
       "SKYLINE OF COMPLETE l.price MIN, h.since MAX");
-  const Join* join = nullptr;
-  LogicalPlan::Foreach(plan, [&](const LogicalPlanPtr& n) {
-    if (n->kind() == PlanKind::kJoin) join = static_cast<const Join*>(n.get());
-  });
-  ASSERT_NE(join, nullptr);
-  EXPECT_EQ(CountNodes(join->left(), PlanKind::kSkyline), 0);
-}
-
-TEST_F(OptimizerTest, SkylineJoinPushdownRespectsToggle) {
-  OptimizerOptions opts;
-  opts.skyline_join_pushdown = false;
-  auto plan = Optimize(
-      "SELECT l.price, l.rating FROM listings l "
-      "LEFT OUTER JOIN hosts h ON l.host = h.id "
-      "SKYLINE OF COMPLETE l.price MIN, l.rating MAX",
-      opts);
   const Join* join = nullptr;
   LogicalPlan::Foreach(plan, [&](const LogicalPlanPtr& n) {
     if (n->kind() == PlanKind::kJoin) join = static_cast<const Join*>(n.get());

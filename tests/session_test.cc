@@ -34,15 +34,14 @@ TEST(SessionConfigTest, StrategyValues) {
 TEST(SessionConfigTest, BooleanParsing) {
   Session session;
   for (const char* v : {"true", "1", "on"}) {
-    EXPECT_OK(session.SetConf("sparkline.optimizer.filterPushdown", v));
-    EXPECT_TRUE(session.config().optimizer.filter_pushdown);
+    EXPECT_OK(session.SetConf("sparkline.trace.enabled", v));
+    EXPECT_TRUE(session.config().cluster.trace_enabled);
   }
   for (const char* v : {"false", "0", "off"}) {
-    EXPECT_OK(session.SetConf("sparkline.optimizer.filterPushdown", v));
-    EXPECT_FALSE(session.config().optimizer.filter_pushdown);
+    EXPECT_OK(session.SetConf("sparkline.trace.enabled", v));
+    EXPECT_FALSE(session.config().cluster.trace_enabled);
   }
-  EXPECT_FALSE(
-      session.SetConf("sparkline.optimizer.filterPushdown", "maybe").ok());
+  EXPECT_FALSE(session.SetConf("sparkline.trace.enabled", "maybe").ok());
 }
 
 TEST(SessionConfigTest, UnknownKeyRejected) {
@@ -57,7 +56,14 @@ TEST(SessionConfigTest, RetiredAblationKeysAreUnknown) {
   Session session;
   for (const char* key :
        {"sparkline.skyline.columnar", "sparkline.skyline.exchange.columnar",
-        "sparkline.skyline.incomplete.parallel"}) {
+        "sparkline.skyline.incomplete.parallel",
+        "sparkline.optimizer.singleDimRewrite",
+        "sparkline.optimizer.skylineJoinPushdown",
+        "sparkline.optimizer.filterPushdown",
+        "sparkline.optimizer.constantFolding",
+        "sparkline.optimizer.columnPruning",
+        "sparkline.skyline.broadcast_filter", "sparkline.scan.zone_maps",
+        "sparkline.skyline.sfs.early_stop"}) {
     for (const char* value : {"true", "false"}) {
       auto s = session.SetConf(key, value);
       ASSERT_FALSE(s.ok()) << key;

@@ -249,14 +249,21 @@ TEST(SqlE2eTest, EquivalenceOnAirbnbShapedData) {
   EXPECT_SAME_ROWS(native, reference);
 }
 
-TEST(SqlE2eTest, SingleDimRewritePreservesSemantics) {
+TEST(SqlE2eTest, SingleDimSkylineMatchesBruteForce) {
+  // A 1-dimensional skyline is the set of rows tied at the optimum; the
+  // skyline operator computes it directly (no scalar-subquery rewrite).
   Session session;
-  ASSERT_OK(session.catalog()->RegisterTable(datagen::GeneratePoints(
-      "pts", 500, 1, datagen::PointDistribution::kIndependent, 61)));
-  auto with = Rows(&session, "SELECT id, d0 FROM pts SKYLINE OF d0 MIN");
-  ASSERT_OK(session.SetConf("sparkline.optimizer.singleDimRewrite", "false"));
-  auto without = Rows(&session, "SELECT id, d0 FROM pts SKYLINE OF d0 MIN");
-  EXPECT_SAME_ROWS(with, without);
+  auto table = datagen::GeneratePoints(
+      "pts", 500, 1, datagen::PointDistribution::kIndependent, 61);
+  ASSERT_OK(session.catalog()->RegisterTable(table));
+  for (const SkylineGoal goal : {SkylineGoal::kMin, SkylineGoal::kMax}) {
+    const std::string sql =
+        StrCat("SELECT id, d0 FROM pts SKYLINE OF d0 ",
+               goal == SkylineGoal::kMin ? "MIN" : "MAX");
+    EXPECT_SAME_ROWS(Rows(&session, sql),
+                     skyline::BruteForceSkyline(table->rows(), {{1, goal}}, {}))
+        << sql;
+  }
 }
 
 TEST(SqlE2eTest, JoinPushdownPreservesSemantics) {
@@ -290,11 +297,12 @@ TEST(SqlE2eTest, JoinPushdownPreservesSemantics) {
       "SELECT l.price, l.rating, h.since FROM listings l "
       "JOIN hosts h ON l.host = h.id "
       "SKYLINE OF l.price MIN, l.rating MAX";
-  auto with = Rows(&session, q);
-  ASSERT_OK(
-      session.SetConf("sparkline.optimizer.skylineJoinPushdown", "false"));
-  auto without = Rows(&session, q);
-  EXPECT_SAME_ROWS(with, without);
+  auto pushed = Rows(&session, q);
+  // The reference rewrite runs before the skyline batch, so its plan keeps
+  // the skyline (as an anti-join) above the join: an un-pushed oracle.
+  ASSERT_OK(session.SetConf("sparkline.skyline.strategy", "reference"));
+  auto reference = Rows(&session, q);
+  EXPECT_SAME_ROWS(pushed, reference);
 }
 
 TEST(SqlE2eTest, ListingOneHotelQueryVerbatim) {
