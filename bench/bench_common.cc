@@ -218,7 +218,7 @@ std::vector<std::string> OracleSkyline(
   auto t = session->catalog()->GetTable(table);
   SL_CHECK(t.ok()) << t.status().ToString();
   return SortedRowStrings(skyline::BruteForceSkyline(
-      (*t)->rows(), BindDimensions(session, table, dimensions, dims), {}));
+      (*t)->CopyRows(), BindDimensions(session, table, dimensions, dims), {}));
 }
 
 std::vector<std::string> SortedRowStrings(const std::vector<Row>& rows) {

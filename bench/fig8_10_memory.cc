@@ -68,7 +68,7 @@ void AssertMatrixMemoryVisible(Session* session, const std::string& table,
   SL_CHECK(t.ok());
   const int64_t matrix_bytes =
       skyline::DominanceMatrix::Build(
-          (*t)->rows(), BindDimensions(session, table, dimensions, 6))
+          (*t)->CopyRows(), BindDimensions(session, table, dimensions, 6))
           .MemoryBytes();
   const int64_t input_peak =
       metrics_of(StrCat("SELECT * FROM ", table)).peak_memory_bytes;

@@ -161,7 +161,7 @@ void Sweep(Session* session, const char* title, const std::string& sql,
 /// layout data skipping is designed for.
 TablePtr SortedByColumn(const Table& src, const std::string& name,
                         size_t col) {
-  std::vector<Row> rows = src.rows();
+  std::vector<Row> rows = src.CopyRows();
   std::stable_sort(rows.begin(), rows.end(), [col](const Row& a,
                                                    const Row& b) {
     return a[col].double_value() < b[col].double_value();

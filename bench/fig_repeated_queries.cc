@@ -145,7 +145,7 @@ std::vector<std::string> SortedRowStrings(const std::vector<Row>& rows) {
 /// the copy's version instead of the bench session's shared Table object.
 TablePtr CopySnapshot(const TablePtr& src) {
   auto copy = std::make_shared<Table>(src->name(), src->schema());
-  for (const Row& row : src->rows()) copy->AppendRowUnchecked(row);
+  src->ForEachRow([&](const Row& row) { copy->AppendRowUnchecked(row); });
   return copy;
 }
 

@@ -21,9 +21,9 @@ std::vector<Row> MakeRows(size_t n, size_t dims, PointDistribution dist,
                                        null_rate);
   std::vector<Row> rows;
   rows.reserve(n);
-  for (const auto& r : table->rows()) {
+  table->ForEachRow([&](const Row& r) {
     rows.emplace_back(r.begin() + 1, r.end());  // drop the id column
-  }
+  });
   return rows;
 }
 
@@ -139,7 +139,7 @@ std::vector<Row> MakeStoreSales(size_t n) {
   datagen::StoreSalesOptions opts;
   opts.num_rows = n;
   auto table = datagen::GenerateStoreSales(opts);
-  return table->rows();
+  return table->CopyRows();
 }
 
 /// Reports dominance tests per second — "the main cost factor of skyline

@@ -199,8 +199,7 @@ Status Catalog::InsertInto(const std::string& name,
   SL_FAILPOINT("catalog.write");
   std::string key = ToLower(name);
   for (;;) {
-    // Snapshot under a shared lock, build the successor unlocked (the copy
-    // and validation are O(table), far too slow to hold readers out), then
+    // Snapshot under a shared lock, build the successor unlocked, then
     // publish only if no other writer got there first.
     TablePtr old;
     {
@@ -212,18 +211,21 @@ Status Catalog::InsertInto(const std::string& name,
       }
       old = it->second;
     }
+    // Validate (and widen) into the immutable chunk that both the successor
+    // table and the write event carry, so maintained results see exactly
+    // the values the table stores.
+    auto validated = std::make_shared<RowChunk>(rows);
+    for (Row& row : *validated) SL_RETURN_NOT_OK(old->ValidateRow(&row));
+    RowChunkPtr batch = std::move(validated);
+    // The successor shares every chunk of `old` and adds the batch as one
+    // more: O(batch + log n), independent of the table size.
     auto next = std::make_shared<Table>(old->name(), old->schema());
     next->constraints() = old->constraints();
-    // Bulk copy + zone-map transplant: the predecessor's summaries stay
-    // exact for the copied rows, so only the inserted rows are observed
-    // below — an incremental min/max merge, not a rebuild.
-    next->CopyRowsFrom(*old);
-    next->Reserve(old->num_rows() + rows.size());
-    for (const Row& row : rows) SL_RETURN_NOT_OK(next->AppendRow(row));
+    next->ExtendFrom(*old, batch);
     WriteEvent event;
     event.kind = WriteEvent::Kind::kInsert;
     event.table = key;
-    event.rows = std::make_shared<const std::vector<Row>>(rows);
+    event.rows = batch;
     {
       sl::MutexLock lock(&mu_);
       auto it = tables_.find(key);

@@ -4,9 +4,11 @@
 // Thread safety: all methods may be called concurrently. Lookups take a
 // shared (reader) lock; DDL and inserts take an exclusive (writer) lock.
 // Tables themselves are treated as immutable once registered — InsertInto
-// replaces the registered Table with a copy-on-write successor, so plans
-// holding a TablePtr snapshot keep reading a consistent row set while
-// concurrent writers publish new versions.
+// replaces the registered Table with a successor that shares every row
+// chunk of its predecessor and adds the inserted rows as one more chunk
+// (catalog/table.h), so plans holding a TablePtr snapshot keep reading a
+// consistent row set while concurrent writers publish new versions, and a
+// small insert costs O(batch + log n) rather than a copy of the table.
 //
 // Versioning: every write that touches a name (register, replace, insert,
 // drop) draws a fresh value from a process-wide monotonic counter, records
@@ -45,8 +47,9 @@ namespace sparkline {
 
 /// \brief One catalog write, as observed by write listeners. Versions are
 /// the written name's version before and after the write; `rows` carries
-/// the inserted rows for kInsert (shared, immutable — the same snapshot the
-/// successor table appended) and is null for every other kind.
+/// the inserted rows for kInsert — the validated, type-widened chunk the
+/// successor table appended (shared, immutable) — and is null for every
+/// other kind.
 struct WriteEvent {
   enum class Kind : uint8_t { kRegister, kReplace, kInsert, kDrop };
 
@@ -54,7 +57,7 @@ struct WriteEvent {
   std::string table;  ///< lower-cased catalog key
   uint64_t old_version = 0;  ///< 0 when the name was never written before
   uint64_t new_version = 0;
-  std::shared_ptr<const std::vector<Row>> rows;  ///< kInsert only
+  RowChunkPtr rows;  ///< kInsert only
 };
 
 /// \brief Case-insensitive, thread-safe table registry with versions.
@@ -83,10 +86,11 @@ class Catalog {
   bool HasTable(const std::string& name) const;
   Status DropTable(const std::string& name);
 
-  /// Appends rows to a registered table via copy-on-write: validates and
-  /// builds a successor Table, then atomically replaces the registered
-  /// pointer and bumps the version. Readers holding the old TablePtr are
-  /// unaffected.
+  /// Appends rows to a registered table: validates them into one immutable
+  /// chunk, builds a successor Table that shares the predecessor's chunks
+  /// plus that chunk (Table::ExtendFrom), then atomically replaces the
+  /// registered pointer and bumps the version. Readers holding the old
+  /// TablePtr are unaffected.
   Status InsertInto(const std::string& name, const std::vector<Row>& rows);
 
   /// Monotonic version of a table name; 0 if the name was never written.

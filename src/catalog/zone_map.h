@@ -5,7 +5,7 @@
 // A zone map describes a *set* of rows (a whole table, or one scan
 // partition) with one ColumnZone per column. The summaries are maintained
 // incrementally: Table observes every appended row, and Catalog::InsertInto
-// transplants the predecessor's map into the copy-on-write successor and
+// transplants the predecessor's map into the chunk-sharing successor and
 // observes only the inserted rows — a min/max merge, never a rebuild.
 //
 // Soundness mirrors DominanceMatrix::Build's rank encoding: a column is

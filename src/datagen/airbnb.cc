@@ -80,11 +80,11 @@ TablePtr CompleteSubset(const Table& table, const std::string& new_name) {
   }
   auto out = std::make_shared<Table>(new_name, std::move(schema));
   out->constraints() = table.constraints();
-  for (const auto& row : table.rows()) {
+  table.ForEachRow([&](const Row& row) {
     bool complete = true;
     for (const auto& v : row) complete &= !v.is_null();
     if (complete) out->AppendRowUnchecked(row);
-  }
+  });
   return out;
 }
 

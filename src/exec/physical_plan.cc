@@ -215,31 +215,33 @@ std::string ScanExec::label() const {
 }
 
 Result<PartitionedRelation> ScanExec::Execute(ExecContext* ctx) const {
-  const auto& rows = table_->rows();
+  const Table& table = *table_;
+  const size_t num_rows = table.num_rows();
   const size_t n = std::max(1, ctx->config().num_executors);
   PartitionedRelation out;
   out.attrs = output_;
   out.partitions.assign(n, {});
   out.zone_maps.assign(n, ZoneMap());
 
-  // Contiguous chunks, like a data source with n splits.
-  const size_t per = (rows.size() + n - 1) / n;
+  // Contiguous global row ranges, like a data source with n splits; a range
+  // may span several of the table's chunks.
+  const size_t per = (num_rows + n - 1) / n;
   SL_RETURN_NOT_OK(RunStage(ctx, n, [&](size_t i) -> Status {
-    const size_t begin = std::min(rows.size(), i * per);
-    const size_t end = std::min(rows.size(), begin + per);
+    const size_t begin = std::min(num_rows, i * per);
+    const size_t end = std::min(num_rows, begin + per);
     auto& part = out.partitions[i];
     part.reserve(end - begin);
     // Per-partition zone map over the *projected* output columns, folded in
     // while the rows are copied anyway — the data-skipping metadata is free
     // relative to the copy itself.
     out.zone_maps[i] = ZoneMap(column_indices_.size());
-    for (size_t r = begin; r < end; ++r) {
+    table.ForEachRow(begin, end, [&](const Row& row) {
       Row projected;
       projected.reserve(column_indices_.size());
-      for (size_t c : column_indices_) projected.push_back(rows[r][c]);
+      for (size_t c : column_indices_) projected.push_back(row[c]);
       out.zone_maps[i].Observe(projected);
       part.push_back(std::move(projected));
-    }
+    });
     return Status::OK();
   }));
   SL_RETURN_NOT_OK(ChargeOutput(ctx, &out));

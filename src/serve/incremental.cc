@@ -4,7 +4,6 @@
 #include <map>
 #include <utility>
 
-#include "api/query_result.h"
 #include "common/failpoint.h"
 #include "common/string_util.h"
 #include "expr/evaluator.h"
@@ -157,43 +156,45 @@ std::shared_ptr<const DeltaRecipe> BuildDeltaRecipe(
 }
 
 Result<std::vector<Row>> ApplyRecipe(const DeltaRecipe& recipe,
-                                     const std::vector<Row>& table_rows) {
+                                     const std::vector<RowChunkPtr>& chunks) {
   std::vector<Row> out;
-  out.reserve(table_rows.size());
-  for (const Row& table_row : table_rows) {
-    Row row;
-    row.reserve(recipe.scan_columns.size());
-    for (size_t col : recipe.scan_columns) {
-      if (col >= table_row.size()) {
-        return Status::Internal(
-            StrCat("delta recipe scan column ", col, " out of range for a ",
-                   table_row.size(), "-column inserted row"));
-      }
-      row.push_back(table_row[col]);
-    }
-    bool keep = true;
-    for (const DeltaRecipe::Step& step : recipe.steps) {
-      if (step.is_filter) {
-        SL_ASSIGN_OR_RETURN(bool pass, EvalPredicate(*step.predicate, row));
-        if (!pass) {
-          keep = false;
-          break;
+  for (const RowChunkPtr& chunk : chunks) {
+    out.reserve(out.size() + chunk->size());
+    for (const Row& table_row : *chunk) {
+      Row row;
+      row.reserve(recipe.scan_columns.size());
+      for (size_t col : recipe.scan_columns) {
+        if (col >= table_row.size()) {
+          return Status::Internal(
+              StrCat("delta recipe scan column ", col, " out of range for a ",
+                     table_row.size(), "-column inserted row"));
         }
-      } else {
-        Row next;
-        next.reserve(step.exprs.size());
-        for (const ExprPtr& e : step.exprs) {
-          SL_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, row));
-          next.push_back(std::move(v));
-        }
-        row = std::move(next);
+        row.push_back(table_row[col]);
       }
+      bool keep = true;
+      for (const DeltaRecipe::Step& step : recipe.steps) {
+        if (step.is_filter) {
+          SL_ASSIGN_OR_RETURN(bool pass, EvalPredicate(*step.predicate, row));
+          if (!pass) {
+            keep = false;
+            break;
+          }
+        } else {
+          Row next;
+          next.reserve(step.exprs.size());
+          for (const ExprPtr& e : step.exprs) {
+            SL_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, row));
+            next.push_back(std::move(v));
+          }
+          row = std::move(next);
+        }
+      }
+      if (!keep) continue;
+      if (row.size() != recipe.width) {
+        return Status::Internal("delta recipe produced a row of wrong width");
+      }
+      out.push_back(std::move(row));
     }
-    if (!keep) continue;
-    if (row.size() != recipe.width) {
-      return Status::Internal("delta recipe produced a row of wrong width");
-    }
-    out.push_back(std::move(row));
   }
   return out;
 }
@@ -211,6 +212,8 @@ IncrementalMaintainer::IncrementalMaintainer(Catalog* catalog,
       cache_(std::move(cache)),
       maintained_counter_(metrics::MetricsRegistry::Global().GetCounter(
           "sparkline_incremental_maintained_total")),
+      matrix_builds_counter_(metrics::MetricsRegistry::Global().GetCounter(
+          "sparkline_incremental_matrix_builds_total")),
       fb_oversized_batch_(FallbackCounter("oversized_batch")),
       fb_no_recipe_(FallbackCounter("no_recipe")),
       fb_version_gap_(FallbackCounter("version_gap")),
@@ -296,43 +299,73 @@ void IncrementalMaintainer::MaintainEntry(
   }
 }
 
+std::shared_ptr<const skyline::DominanceMatrix>
+IncrementalMaintainer::MatrixFor(
+    const std::shared_ptr<const skyline::DominanceMatrix>& matrix,
+    const std::vector<Row>& rows, const DeltaRecipe& recipe) {
+  if (matrix != nullptr) return matrix;
+  matrix_builds_.fetch_add(1);
+  matrix_builds_counter_->Increment();
+  return std::make_shared<const skyline::DominanceMatrix>(
+      skyline::DominanceMatrix::Build(rows, recipe.dims));
+}
+
 Status IncrementalMaintainer::ApplyDelta(
     const std::shared_ptr<const CachedResult>& entry, const WriteEvent& event,
     const char** fallback_reason) {
   SL_FAILPOINT("serve.delta_apply");
   const DeltaRecipe& recipe = *entry->recipe;
   SL_ASSIGN_OR_RETURN(std::vector<Row> batch,
-                      ApplyRecipe(recipe, *event.rows));
+                      ApplyRecipe(recipe, {event.rows}));
 
-  const skyline::SkylineOptions options = RecipeOptions(recipe);
-  SL_ASSIGN_OR_RETURN(
-      skyline::DeltaClassification delta,
-      skyline::DeltaClassify(*entry->rows, batch, recipe.dims, options));
-  if (delta.needs_fallback) {
-    *fallback_reason = "classify_unsound";
-    return Status::Invalid("delta batch is not incrementally classifiable");
+  // An empty batch (every row filtered out) leaves the skyline as it is and
+  // needs no matrix; otherwise classify against the retained one.
+  std::shared_ptr<const skyline::DominanceMatrix> matrix = entry->matrix;
+  skyline::DeltaClassification delta;
+  if (!batch.empty()) {
+    SL_ASSIGN_OR_RETURN(
+        delta, skyline::DeltaClassify(MatrixFor(matrix, *entry->rows, recipe),
+                                      batch, recipe.dims,
+                                      RecipeOptions(recipe)));
+    if (delta.needs_fallback) {
+      *fallback_reason = "classify_unsound";
+      return Status::Invalid("delta batch is not incrementally classifiable");
+    }
+    matrix = delta.matrix;
   }
 
+  // The successor's rows and their byte estimate, both from the delta:
+  // bytes = predecessor - evicted + entering (EstimatedRowsBytes also
+  // charges unused capacity, so the predecessor's slack is swapped for the
+  // successor's), never a walk over the whole result.
   std::shared_ptr<const std::vector<Row>> rows;
+  int64_t bytes = entry->bytes;
   const bool unchanged = delta.entering.empty() && delta.evicted.empty();
   if (unchanged) {
     rows = entry->rows;  // re-key only; share the snapshot
   } else {
+    const std::vector<Row>& old_rows = *entry->rows;
     auto next_rows = std::make_shared<std::vector<Row>>();
-    next_rows->reserve(entry->rows->size() - delta.evicted.size() +
+    next_rows->reserve(old_rows.size() - delta.evicted.size() +
                        delta.entering.size());
     size_t evicted_pos = 0;  // `evicted` is ascending by construction
-    for (size_t i = 0; i < entry->rows->size(); ++i) {
+    for (size_t i = 0; i < old_rows.size(); ++i) {
       if (evicted_pos < delta.evicted.size() &&
           delta.evicted[evicted_pos] == static_cast<uint32_t>(i)) {
         ++evicted_pos;
+        bytes -= EstimateRowBytes(old_rows[i]);
         continue;
       }
-      next_rows->push_back((*entry->rows)[i]);
+      next_rows->push_back(old_rows[i]);
     }
     for (uint32_t idx : delta.entering) {
-      next_rows->push_back(batch[idx]);
+      bytes += EstimateRowBytes(batch[idx]);
+      next_rows->push_back(std::move(batch[idx]));
     }
+    const auto slack = [](const std::vector<Row>& v) {
+      return static_cast<int64_t>(sizeof(Row) * (v.capacity() - v.size()));
+    };
+    bytes += slack(*next_rows) - slack(old_rows);
     rows = std::move(next_rows);
   }
 
@@ -357,7 +390,11 @@ Status IncrementalMaintainer::ApplyDelta(
   auto next = std::make_shared<CachedResult>();
   next->attrs = entry->attrs;
   next->rows = std::move(rows);
-  next->bytes = unchanged ? entry->bytes : EstimatedRowsBytes(*next->rows);
+  next->bytes = bytes;
+  next->matrix_bytes = matrix == entry->matrix
+                           ? entry->matrix_bytes
+                           : (matrix != nullptr ? matrix->MemoryBytes() : 0);
+  next->matrix = std::move(matrix);
   next->fingerprint = FingerprintFromCanonical(std::move(canonical),
                                                entry->fingerprint.tables);
   next->recipe = entry->recipe;
@@ -381,23 +418,27 @@ std::optional<SkylineDelta> IncrementalMaintainer::AdvanceSubscription(
   if (insert && event.old_version == sub->version && enabled_.load() &&
       static_cast<int64_t>(event.rows->size()) <= max_delta_batch_.load()) {
     const DeltaRecipe& recipe = *sub->recipe;
-    auto batch_result = ApplyRecipe(recipe, *event.rows);
+    auto batch_result = ApplyRecipe(recipe, {event.rows});
     if (batch_result.ok()) {
       std::vector<Row> batch = std::move(batch_result).MoveValue();
-      auto classified = skyline::DeltaClassify(sub->skyline, batch, recipe.dims,
-                                               RecipeOptions(recipe));
+      if (batch.empty()) {
+        sub->version = event.new_version;
+        return std::nullopt;
+      }
+      auto classified = skyline::DeltaClassify(
+          MatrixFor(sub->matrix, sub->skyline, recipe), batch, recipe.dims,
+          RecipeOptions(recipe));
       if (classified.ok() && !(*classified).needs_fallback) {
-        const skyline::DeltaClassification& delta = *classified;
+        skyline::DeltaClassification& delta = *classified;
+        sub->matrix = std::move(delta.matrix);
+        sub->version = event.new_version;
+        if (delta.entering.empty() && delta.evicted.empty()) {
+          return std::nullopt;
+        }
         SkylineDelta out;
         out.table = event.table;
         out.version = event.new_version;
         out.resync = false;
-        for (uint32_t idx : delta.evicted) {
-          out.removed.push_back(sub->skyline[idx]);
-        }
-        for (uint32_t idx : delta.entering) {
-          out.added.push_back(batch[idx]);
-        }
         std::vector<Row> next;
         next.reserve(sub->skyline.size() - delta.evicted.size() +
                      delta.entering.size());
@@ -406,14 +447,16 @@ std::optional<SkylineDelta> IncrementalMaintainer::AdvanceSubscription(
           if (evicted_pos < delta.evicted.size() &&
               delta.evicted[evicted_pos] == static_cast<uint32_t>(i)) {
             ++evicted_pos;
+            out.removed.push_back(std::move(sub->skyline[i]));
             continue;
           }
-          next.push_back(sub->skyline[i]);
+          next.push_back(std::move(sub->skyline[i]));
         }
-        for (uint32_t idx : delta.entering) next.push_back(batch[idx]);
+        for (uint32_t idx : delta.entering) {
+          out.added.push_back(batch[idx]);
+          next.push_back(std::move(batch[idx]));
+        }
         sub->skyline = std::move(next);
-        sub->version = event.new_version;
-        if (out.added.empty() && out.removed.empty()) return std::nullopt;
         deltas_delivered_.fetch_add(1);
         return out;
       }
@@ -441,7 +484,7 @@ SkylineDelta IncrementalMaintainer::ResyncSubscription(
   if (table_result.ok()) {
     const TablePtr& snapshot = *table_result;
     version = snapshot->version();
-    auto input = ApplyRecipe(*sub->recipe, snapshot->rows());
+    auto input = ApplyRecipe(*sub->recipe, snapshot->chunks());
     if (input.ok()) {
       // The whole snapshot goes through the columnar kernel the query path
       // uses: resync input is the table, not a delta batch, so it is never
@@ -481,6 +524,7 @@ SkylineDelta IncrementalMaintainer::ResyncSubscription(
   }
 
   sub->skyline = std::move(next);
+  sub->matrix = nullptr;  // rebuilt by the next incremental classify
   sub->version = version;
   return out;
 }
@@ -520,6 +564,7 @@ IncrementalMaintainer::Stats IncrementalMaintainer::stats() const {
   s.fallbacks = fallbacks_.load();
   s.resyncs = resyncs_.load();
   s.deltas_delivered = deltas_delivered_.load();
+  s.matrix_builds = matrix_builds_.load();
   return s;
 }
 

@@ -15,6 +15,16 @@
 // where enter(B) is the set of batch tuples dominated by nothing in S ∪ B.
 // DeltaClassify (skyline/columnar.h) computes exactly this.
 //
+// Retained matrices: every cached entry and subscription keeps the
+// DominanceMatrix of its rows on the recipe's dims. A write projects only
+// its batch, joins it to the retained matrix (ConcatSelected: a key copy
+// plus a re-rank of rank-encoded dims), and hands the successor the
+// survivors' matrix — the same pointer when nothing entered or left. So a
+// write of b rows against an s-row skyline costs O(s·b) dominance tests and
+// O(s·d) key copies, and never re-reads the skyline's Values. An entry
+// fresh from a query has no matrix; its first maintenance builds one
+// (Stats::matrix_builds).
+//
 // When the argument does not hold, maintenance *falls back to
 // invalidation* — a fallback costs a recompute on the next query, never a
 // wrong answer:
@@ -63,6 +73,7 @@
 #include "expr/expression.h"
 #include "plan/logical_plan.h"
 #include "serve/result_cache.h"
+#include "skyline/columnar.h"
 #include "skyline/dominance.h"
 
 namespace sparkline {
@@ -104,10 +115,11 @@ struct DeltaRecipe {
 std::shared_ptr<const DeltaRecipe> BuildDeltaRecipe(
     const LogicalPlanPtr& analyzed, uint64_t* snapshot_version = nullptr);
 
-/// \brief Applies the recipe's scan projection + steps to raw table rows,
+/// \brief Applies the recipe's scan projection + steps to table rows given
+/// as row chunks (an insert's batch chunk, or a whole table's chunks),
 /// producing the rows the cached skyline's input would have gained.
 Result<std::vector<Row>> ApplyRecipe(const DeltaRecipe& recipe,
-                                     const std::vector<Row>& table_rows);
+                                     const std::vector<RowChunkPtr>& chunks);
 
 /// \brief One continuous-query notification: the skyline gained `added`
 /// and lost `removed` going to table version `version`. `resync` marks
@@ -143,6 +155,11 @@ class IncrementalMaintainer {
     int64_t resyncs = 0;
     /// Non-empty subscription deltas delivered (incremental and resync).
     int64_t deltas_delivered = 0;
+    /// Full DominanceMatrix builds over a cached entry's or a
+    /// subscription's rows. A cached entry builds one at its first
+    /// maintenance and a subscription after each resync; successors carry
+    /// the matrix, so ordinary writes build none.
+    int64_t matrix_builds = 0;
   };
 
   IncrementalMaintainer(Catalog* catalog, std::shared_ptr<ResultCache> cache);
@@ -174,8 +191,17 @@ class IncrementalMaintainer {
     std::shared_ptr<const DeltaRecipe> recipe;
     std::shared_ptr<SubscriptionCallback> callback;
     std::vector<Row> skyline;  ///< current state
+    /// Matrix over `skyline` on the recipe's dims; null until the first
+    /// incremental classify after a resync builds it.
+    std::shared_ptr<const skyline::DominanceMatrix> matrix;
     uint64_t version = 0;
   };
+
+  /// `matrix` when set, otherwise a fresh build over `rows` (counted in
+  /// Stats::matrix_builds).
+  std::shared_ptr<const skyline::DominanceMatrix> MatrixFor(
+      const std::shared_ptr<const skyline::DominanceMatrix>& matrix,
+      const std::vector<Row>& rows, const DeltaRecipe& recipe);
 
   /// Advances one cache entry for an insert event; on any uncertainty the
   /// entry is removed (fallback). Never returns an error to the caller —
@@ -216,11 +242,13 @@ class IncrementalMaintainer {
   mutable std::atomic<int64_t> fallbacks_{0};
   mutable std::atomic<int64_t> resyncs_{0};
   mutable std::atomic<int64_t> deltas_delivered_{0};
+  mutable std::atomic<int64_t> matrix_builds_{0};
 
   // Registry mirrors (common/metrics.h), resolved once at construction.
   // Fallbacks are additionally labeled by reason — the taxonomy the lumped
   // fallbacks_ total hides: which soundness condition actually fired.
   metrics::Counter* maintained_counter_;
+  metrics::Counter* matrix_builds_counter_;
   metrics::Counter* fb_oversized_batch_;
   metrics::Counter* fb_no_recipe_;
   metrics::Counter* fb_version_gap_;

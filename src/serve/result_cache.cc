@@ -31,8 +31,8 @@ bool ResultCache::Expired(const Entry& entry, int64_t now_nanos) const {
 void ResultCache::RemoveLocked(
     Shard* shard, std::unordered_map<std::string, Entry>::iterator it) {
   const Entry& entry = it->second;
-  shard->bytes -= entry.result->bytes;
-  memory_.Shrink(entry.result->bytes);
+  shard->bytes -= entry.result->charged_bytes();
+  memory_.Shrink(entry.result->charged_bytes());
   for (const std::string& table : entry.tables) {
     auto t = shard->by_table.find(table);
     if (t == shard->by_table.end()) continue;
@@ -107,8 +107,8 @@ void ResultCache::InsertLocked(Shard* shard, std::string key,
   e.tables = std::move(tables);
   e.inserted_nanos = StopWatch::NowNanos();
   e.lru_it = shard->lru.begin();
-  shard->bytes += e.result->bytes;
-  memory_.Grow(e.result->bytes);
+  shard->bytes += e.result->charged_bytes();
+  memory_.Grow(e.result->charged_bytes());
   for (const std::string& table : e.tables) {
     shard->by_table[table].push_back(key);
   }
@@ -119,7 +119,9 @@ void ResultCache::InsertLocked(Shard* shard, std::string key,
 Status ResultCache::Insert(const PlanFingerprint& fp,
                            std::shared_ptr<const CachedResult> entry) {
   SL_FAILPOINT("serve.cache_insert");
-  if (entry == nullptr || entry->bytes > PerShardBudget()) return Status::OK();
+  if (entry == nullptr || entry->charged_bytes() > PerShardBudget()) {
+    return Status::OK();
+  }
   Shard& shard = ShardFor(fp);
   sl::MutexLock lock(&shard.mu);
   SweepExpiredTailLocked(&shard, StopWatch::NowNanos());
@@ -176,7 +178,7 @@ void ResultCache::Remove(const PlanFingerprint& fp,
 bool ResultCache::Replace(const PlanFingerprint& old_fp,
                           const std::shared_ptr<const CachedResult>& expected,
                           std::shared_ptr<const CachedResult> next) {
-  if (next == nullptr || next->bytes > PerShardBudget()) {
+  if (next == nullptr || next->charged_bytes() > PerShardBudget()) {
     // The successor does not fit the budget; the old entry describes a
     // stale table version, so drop it rather than keep serving it.
     Remove(old_fp, expected);

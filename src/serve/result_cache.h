@@ -10,7 +10,8 @@
 //     into the caller's QueryResult — no deep copy, and eviction while a
 //     reader still holds the snapshot is safe.
 //   - The byte budget is charged through the existing MemoryTracker: every
-//     insert Grows it by the entry's estimated footprint and every
+//     insert Grows it by the entry's estimated footprint (rows plus any
+//     retained dominance matrix, CachedResult::charged_bytes) and every
 //     eviction/invalidation Shrinks it, so cache residency shows up in the
 //     same accounting the executor uses.
 //   - TTL: entries older than ttl_ms are treated as misses (0 = no expiry).
@@ -51,6 +52,12 @@ namespace serve {
 
 struct DeltaRecipe;  // serve/incremental.h
 
+}  // namespace serve
+namespace skyline {
+class DominanceMatrix;  // skyline/columnar.h
+}  // namespace skyline
+namespace serve {
+
 /// \brief One cached result: the output header plus a shared immutable row
 /// snapshot, and (when the plan shape supports it) the metadata incremental
 /// maintenance needs to evolve the entry under writes instead of dropping
@@ -59,8 +66,17 @@ struct DeltaRecipe;  // serve/incremental.h
 struct CachedResult {
   std::vector<Attribute> attrs;
   std::shared_ptr<const std::vector<Row>> rows;
-  /// Estimated footprint charged against the byte budget.
+  /// Estimated footprint of `rows` (EstimatedRowsBytes), reported as
+  /// bytes_served on a hit.
   int64_t bytes = 0;
+  /// Dominance matrix over `rows` on the recipe's dimensions (matrix row i
+  /// is rows[i]). An entry fresh from a query has none; its first
+  /// maintenance builds one and every successor carries it forward, so a
+  /// write re-projects only the inserted rows. Never mutated — a successor
+  /// that changed rows gets a new matrix.
+  std::shared_ptr<const skyline::DominanceMatrix> matrix;
+  /// matrix->MemoryBytes(), or 0 without a matrix.
+  int64_t matrix_bytes = 0;
   /// The fingerprint this entry is stored under (retained so maintenance
   /// can rewrite the canonical's table version and re-key the successor).
   PlanFingerprint fingerprint;
@@ -74,6 +90,10 @@ struct CachedResult {
   /// Write deltas this entry has absorbed since it was first computed
   /// (surfaced as QueryMetrics::cache_delta_maintained on hits).
   int64_t delta_count = 0;
+
+  /// The footprint charged against the cache's byte budget: the rows plus
+  /// the retained matrix.
+  int64_t charged_bytes() const { return bytes + matrix_bytes; }
 };
 
 /// \brief Sharded, TTL-aware, byte-budgeted LRU result cache.

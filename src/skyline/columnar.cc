@@ -937,10 +937,10 @@ Result<std::vector<Row>> ColumnarAllPairsSkyline(
   return MaterializeRows(input, survivors);
 }
 
-Result<DeltaClassification> DeltaClassify(const std::vector<Row>& skyline,
-                                          const std::vector<Row>& batch,
-                                          const std::vector<BoundDimension>& dims,
-                                          const SkylineOptions& options) {
+Result<DeltaClassification> DeltaClassify(
+    std::shared_ptr<const DominanceMatrix> skyline,
+    const std::vector<Row>& batch, const std::vector<BoundDimension>& dims,
+    const SkylineOptions& options) {
   if (options.nulls != NullSemantics::kComplete) {
     return Status::Invalid(
         "DeltaClassify requires complete dominance semantics (incomplete "
@@ -948,23 +948,27 @@ Result<DeltaClassification> DeltaClassify(const std::vector<Row>& skyline,
         "sufficient witness set)");
   }
   SL_RETURN_NOT_OK(CheckDimensionLimit(dims));
+  SL_DCHECK(skyline != nullptr && skyline->num_dims() == dims.size());
   DeltaClassification out;
-  const size_t n = skyline.size();
+  const size_t n = skyline->num_rows();
   const size_t m = batch.size();
-  if (m == 0) return out;
+  if (m == 0) {
+    out.matrix = std::move(skyline);
+    return out;
+  }
 
-  // One combined projection — skyline rows first, batch rows after — so
-  // both sides share packed keys and one rank encoding (ranks are only
-  // comparable within a single matrix).
-  std::vector<Row> combined;
-  combined.reserve(n + m);
-  combined.insert(combined.end(), skyline.begin(), skyline.end());
-  combined.insert(combined.end(), batch.begin(), batch.end());
-  const DominanceMatrix matrix = DominanceMatrix::Build(combined, dims);
-  if (matrix.has_nulls()) {
+  // Project only the batch, then join it to the retained skyline matrix —
+  // skyline rows first, batch rows after — so both sides share packed keys
+  // and one rank encoding (ranks are only comparable within one matrix).
+  const DominanceMatrix batch_matrix = DominanceMatrix::Build(batch, dims);
+  if (skyline->has_nulls() || batch_matrix.has_nulls()) {
     out.needs_fallback = true;
     return out;
   }
+  const std::vector<uint32_t> all_skyline = AllIndices(*skyline);
+  const std::vector<uint32_t> all_batch = AllIndices(batch_matrix);
+  const DominanceMatrix matrix = DominanceMatrix::ConcatSelected(
+      {skyline.get(), &batch_matrix}, {&all_skyline, &all_batch});
 
   const auto compare = [&](size_t a, size_t b) {
     internal::CountTest(options);
@@ -1036,17 +1040,35 @@ Result<DeltaClassification> DeltaClassify(const std::vector<Row>& skyline,
   // Phase C: cached points dominated by an entering tuple are evicted.
   // kEqual never evicts: without DISTINCT equal tuples coexist, and
   // DISTINCT equality already fell back above.
-  if (!out.entering.empty()) {
-    for (size_t i = 0; i < n; ++i) {
-      SL_RETURN_NOT_OK(deadline.Check());
-      for (uint32_t j : out.entering) {
-        if (compare(n + j, i) == Dominance::kLeftDominates) {
-          out.evicted.push_back(static_cast<uint32_t>(i));
-          break;
-        }
+  if (out.entering.empty()) {
+    out.matrix = std::move(skyline);
+    return out;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    SL_RETURN_NOT_OK(deadline.Check());
+    for (uint32_t j : out.entering) {
+      if (compare(n + j, i) == Dominance::kLeftDominates) {
+        out.evicted.push_back(static_cast<uint32_t>(i));
+        break;
       }
     }
   }
+
+  // The successor matrix: survivors in order, then the entering rows — the
+  // row order the caller gives the successor's rows.
+  std::vector<uint32_t> keep;
+  keep.reserve(n - out.evicted.size() + out.entering.size());
+  size_t evicted_pos = 0;
+  for (uint32_t i = 0; i < n; ++i) {
+    if (evicted_pos < out.evicted.size() && out.evicted[evicted_pos] == i) {
+      ++evicted_pos;
+      continue;
+    }
+    keep.push_back(i);
+  }
+  for (uint32_t j : out.entering) keep.push_back(static_cast<uint32_t>(n + j));
+  out.matrix = std::make_shared<const DominanceMatrix>(
+      DominanceMatrix::ConcatSelected({&matrix}, {&keep}));
   return out;
 }
 

@@ -628,28 +628,39 @@ struct DeltaClassification {
   /// tie-break exactly would require the full input order, which the
   /// cached skyline no longer carries).
   bool needs_fallback = false;
+  /// The successor skyline's matrix: the skyline's rows minus `evicted`, in
+  /// order, then the entering batch rows, in order. It is the input matrix
+  /// pointer itself when nothing entered or left (or the batch was empty);
+  /// unset when needs_fallback.
+  std::shared_ptr<const DominanceMatrix> matrix;
 };
 
-/// \brief Classifies `batch` against `skyline` under complete dominance
-/// semantics: a batch tuple dominated by a cached point (or by another
-/// batch tuple) is discarded; the rest enter and evict the cached points
-/// they dominate. Exactness (tests/incremental_test.cc proves it
-/// differentially): because complete dominance is transitive and `skyline`
-/// is the skyline of its input T, any old tuple dominating a batch tuple q
-/// has a representative in `skyline` dominating q, so comparing against the
-/// cached skyline alone suffices — skyline(T ∪ B) =
-/// (skyline \ evicted) ∪ entering. This is NOT sound under incomplete
-/// semantics (non-transitive dominance: a dominated non-skyline tuple can
-/// dominate q while no skyline point does), so options.nulls must be
-/// kComplete — kIncomplete is rejected with Status::Invalid.
+/// \brief Classifies `batch` against a skyline, given as its retained
+/// DominanceMatrix on `dims`, under complete dominance semantics: a batch
+/// tuple dominated by a skyline point (or by another batch tuple) is
+/// discarded; the rest enter and evict the skyline points they dominate.
+/// Exactness (tests/incremental_test.cc proves it differentially): because
+/// complete dominance is transitive and the skyline is the skyline of its
+/// input T, any old tuple dominating a batch tuple q has a representative
+/// in the skyline dominating q, so comparing against the skyline alone
+/// suffices — skyline(T ∪ B) = (skyline \ evicted) ∪ entering. This is NOT
+/// sound under incomplete semantics (non-transitive dominance: a dominated
+/// non-skyline tuple can dominate q while no skyline point does), so
+/// options.nulls must be kComplete — kIncomplete is rejected with
+/// Status::Invalid.
 ///
-/// Uses one combined DominanceMatrix projection (skyline rows then batch
-/// rows) with the packed-key compare kernel. Cost: O((|S| + |B|)·|B|)
-/// dominance tests — independent of the table size.
-Result<DeltaClassification> DeltaClassify(const std::vector<Row>& skyline,
-                                          const std::vector<Row>& batch,
-                                          const std::vector<BoundDimension>& dims,
-                                          const SkylineOptions& options);
+/// Only the batch is projected from Values. Its matrix is joined to the
+/// retained one with DominanceMatrix::ConcatSelected, which copies packed
+/// keys and re-ranks rank-encoded dimensions over the union, and the
+/// successor matrix is one more ConcatSelected over the survivors. Cost:
+/// O((|S| + |B|)·|B|) dominance tests plus O(|S|·d) key copies — independent
+/// of the table size, and no Value of the skyline is read.
+///
+/// \pre `skyline` is non-null and was built (or concatenated) on `dims`.
+Result<DeltaClassification> DeltaClassify(
+    std::shared_ptr<const DominanceMatrix> skyline,
+    const std::vector<Row>& batch, const std::vector<BoundDimension>& dims,
+    const SkylineOptions& options);
 
 }  // namespace skyline
 }  // namespace sparkline

@@ -34,8 +34,12 @@ TEST(AirbnbGenTest, DeterministicInSeed) {
   opts.num_rows = 50;
   auto a = GenerateAirbnb(opts);
   auto b = GenerateAirbnb(opts);
+  const std::vector<Row> ra = a->CopyRows();
+  const std::vector<Row> rb = b->CopyRows();
+  ASSERT_EQ(ra.size(), 50u);
+  ASSERT_EQ(rb.size(), 50u);
   for (size_t i = 0; i < 50; ++i) {
-    EXPECT_EQ(RowToString(a->rows()[i]), RowToString(b->rows()[i]));
+    EXPECT_EQ(RowToString(ra[i]), RowToString(rb[i]));
   }
 }
 
@@ -43,7 +47,7 @@ TEST(AirbnbGenTest, CompleteVariantHasNoNulls) {
   AirbnbOptions opts;
   opts.num_rows = 200;
   auto t = GenerateAirbnb(opts);  // incomplete = false
-  for (const auto& row : t->rows()) {
+  for (const auto& row : t->CopyRows()) {
     for (const auto& v : row) EXPECT_FALSE(v.is_null());
   }
 }
@@ -73,7 +77,7 @@ TEST(StoreSalesGenTest, PriceCorrelationsHold) {
   StoreSalesOptions opts;
   opts.num_rows = 500;
   auto t = GenerateStoreSales(opts);
-  for (const auto& row : t->rows()) {
+  for (const auto& row : t->CopyRows()) {
     const double wholesale = row[3].double_value();
     const double list = row[4].double_value();
     const double sales = row[5].double_value();
@@ -87,7 +91,7 @@ TEST(StoreSalesGenTest, QuantityIsLowCardinality) {
   opts.num_rows = 2000;
   auto t = GenerateStoreSales(opts);
   std::set<int64_t> values;
-  for (const auto& row : t->rows()) values.insert(row[2].int64_value());
+  for (const auto& row : t->CopyRows()) values.insert(row[2].int64_value());
   EXPECT_LE(values.size(), 100u);
 }
 
@@ -97,13 +101,13 @@ TEST(StoreSalesGenTest, IncompleteVariantInjectsNulls) {
   opts.incomplete = true;
   auto t = GenerateStoreSales(opts);
   size_t nulls = 0;
-  for (const auto& row : t->rows()) {
+  for (const auto& row : t->CopyRows()) {
     for (size_t c = 2; c < 8; ++c) nulls += row[c].is_null() ? 1 : 0;
   }
   const double rate = static_cast<double>(nulls) / (2000.0 * 6.0);
   EXPECT_NEAR(rate, opts.null_rate, 0.02);
   // Keys are never null.
-  for (const auto& row : t->rows()) {
+  for (const auto& row : t->CopyRows()) {
     EXPECT_FALSE(row[0].is_null());
     EXPECT_FALSE(row[1].is_null());
   }
@@ -124,11 +128,11 @@ TEST(MusicBrainzGenTest, TablesAndConstraints) {
 
 TEST(MusicBrainzGenTest, CompleteRecordingsHaveNoNulls) {
   auto mb = GenerateMusicBrainz({500, 9});
-  for (const auto& row : mb.recording_complete->rows()) {
+  for (const auto& row : mb.recording_complete->CopyRows()) {
     for (const auto& v : row) EXPECT_FALSE(v.is_null());
   }
   size_t nulls = 0;
-  for (const auto& row : mb.recording_incomplete->rows()) {
+  for (const auto& row : mb.recording_incomplete->CopyRows()) {
     nulls += row[1].is_null() ? 1 : 0;
   }
   EXPECT_GT(nulls, 0u);
@@ -137,7 +141,7 @@ TEST(MusicBrainzGenTest, CompleteRecordingsHaveNoNulls) {
 TEST(MusicBrainzGenTest, RatingsAreSparse) {
   auto mb = GenerateMusicBrainz({1000, 10});
   size_t rated = 0;
-  for (const auto& row : mb.recording_meta->rows()) {
+  for (const auto& row : mb.recording_meta->CopyRows()) {
     rated += row[1].is_null() ? 0 : 1;
   }
   EXPECT_NEAR(static_cast<double>(rated) / 1000.0, 0.34, 0.06);
@@ -153,7 +157,7 @@ TEST(PointsGenTest, DistributionsAffectSkylineSize) {
     std::vector<skyline::BoundDimension> dims{{1, SkylineGoal::kMin},
                                               {2, SkylineGoal::kMin},
                                               {3, SkylineGoal::kMin}};
-    return skyline::BruteForceSkyline(t->rows(), dims, {}).size();
+    return skyline::BruteForceSkyline(t->CopyRows(), dims, {}).size();
   };
   EXPECT_GT(skyline_size(anti), 3 * skyline_size(corr));
 }
@@ -175,8 +179,10 @@ TEST(CsvTest, RoundTripsValuesAndNulls) {
   auto back = ReadCsv(path, s, "rt2");
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   ASSERT_EQ((*back)->num_rows(), 3u);
+  const std::vector<Row> written = t->CopyRows();
+  const std::vector<Row> read = (*back)->CopyRows();
   for (size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(RowToString(t->rows()[i]), RowToString((*back)->rows()[i]));
+    EXPECT_EQ(RowToString(written[i]), RowToString(read[i]));
   }
   std::remove(path.c_str());
 }

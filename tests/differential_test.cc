@@ -178,7 +178,7 @@ TEST(ExtremeValueDifferential, EveryConfigurationMatchesOracle) {
       oracle_options.nulls = q.incomplete ? skyline::NullSemantics::kIncomplete
                                           : skyline::NullSemantics::kComplete;
       std::vector<Row> oracle =
-          skyline::BruteForceSkyline(table->rows(), dims, oracle_options);
+          skyline::BruteForceSkyline(table->CopyRows(), dims, oracle_options);
       if (distinct) {
         for (Row& row : oracle) {
           Row projected;
@@ -239,7 +239,7 @@ TEST(ExtremeValueDifferential, NaNProbeHasOneAnswer) {
     }
     session.catalog()->RegisterOrReplaceTable(table);
     const std::vector<std::string> expected =
-        Canonical(skyline::BruteForceSkyline(table->rows(), dims, {}));
+        Canonical(skyline::BruteForceSkyline(table->CopyRows(), dims, {}));
     for (const char* strategy :
          {"distributed", "non_distributed", "incomplete", "reference"}) {
       for (const char* kernel : {"bnl", "sfs", "grid"}) {

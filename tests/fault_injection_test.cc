@@ -332,7 +332,8 @@ TEST_F(FaultInjectionTest, DeltaApplyFaultDegradesToInvalidation) {
     ASSERT_OK(session.SetConf("sparkline.failpoints",
                               StrCat("serve.delta_apply=", spec)));
     ASSERT_OK_AND_ASSIGN(TablePtr table, session.catalog()->GetTable("pts"));
-    ASSERT_OK(session.catalog()->InsertInto("pts", {table->rows().front()}));
+    const Row first = table->chunks().front()->front();
+    ASSERT_OK(session.catalog()->InsertInto("pts", {first}));
     session.catalog()->DrainWrites();
     ASSERT_OK(session.SetConf("sparkline.failpoints", ""));
 
@@ -359,10 +360,11 @@ TEST_F(FaultInjectionTest, CatalogWriteFaultIsAtomic) {
   const uint64_t version_before = session.catalog()->TableVersion("pts");
   ASSERT_OK_AND_ASSIGN(TablePtr table, session.catalog()->GetTable("pts"));
   const size_t rows_before = table->num_rows();
+  const Row first = table->chunks().front()->front();
 
   ASSERT_OK(session.SetConf("sparkline.failpoints", "catalog.write=error"));
   Status write = session.catalog()->InsertInto(
-      "pts", {table->rows().front()});
+      "pts", {first});
   ASSERT_OK(session.SetConf("sparkline.failpoints", ""));
 
   EXPECT_FALSE(write.ok());
@@ -371,7 +373,7 @@ TEST_F(FaultInjectionTest, CatalogWriteFaultIsAtomic) {
   EXPECT_EQ(after->num_rows(), rows_before);
 
   // The failed write did not poison the catalog: a real write still works.
-  ASSERT_OK(session.catalog()->InsertInto("pts", {table->rows().front()}));
+  ASSERT_OK(session.catalog()->InsertInto("pts", {first}));
   ASSERT_OK_AND_ASSIGN(TablePtr final_table,
                        session.catalog()->GetTable("pts"));
   EXPECT_EQ(final_table->num_rows(), rows_before + 1);

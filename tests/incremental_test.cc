@@ -10,6 +10,7 @@
 // delta_apply faults), subscription delta semantics, the slow-listener
 // regression, and — under TSan — writers racing readers and a subscriber.
 #include <atomic>
+#include <cstdio>
 #include <condition_variable>
 #include <future>
 #include <map>
@@ -24,7 +25,9 @@
 #include "api/session.h"
 #include "catalog/catalog.h"
 #include "common/failpoint.h"
+#include "common/metrics.h"
 #include "common/rng.h"
+#include "common/string_util.h"
 #include "datagen/datagen.h"
 #include "serve/incremental.h"
 #include "skyline/reference.h"
@@ -35,12 +38,13 @@ namespace {
 
 using testing::RowStrings;
 using testing::Rows;
+using testing::TypedRowStrings;
 
 // Deep copy, so registering the snapshot in an oracle catalog re-stamps the
 // copy's version instead of the live session's shared Table object.
 TablePtr CopySnapshot(const TablePtr& src) {
   auto copy = std::make_shared<Table>(src->name(), src->schema());
-  for (const Row& row : src->rows()) copy->AppendRowUnchecked(row);
+  src->ForEachRow([&](const Row& row) { copy->AppendRowUnchecked(row); });
   return copy;
 }
 
@@ -50,11 +54,16 @@ TablePtr CopySnapshot(const TablePtr& src) {
 // contain NULLs is a broken user promise, and the kernels make no
 // cross-config guarantee for it — so the differential check isolates the
 // cache, not kernel choice.
-std::vector<std::string> OracleRows(const TablePtr& snapshot,
-                                    const std::string& sql) {
+std::vector<Row> OracleResult(const TablePtr& snapshot, const std::string& sql) {
   Session oracle;
   oracle.catalog()->RegisterOrReplaceTable(CopySnapshot(snapshot));
-  return RowStrings(Rows(&oracle, sql));
+  return Rows(&oracle, sql);
+}
+
+// The oracle's answer as a type-aware multiset digest.
+std::vector<std::string> OracleRows(const TablePtr& snapshot,
+                                    const std::string& sql) {
+  return TypedRowStrings(OracleResult(snapshot, sql));
 }
 
 // --- differential mixed-workload harness ----------------------------------
@@ -67,42 +76,111 @@ struct HarnessTotals {
   int64_t queries = 0;
 };
 
+enum class ScheduleKind {
+  kComplete,    // DOUBLE dims, no NULLs
+  kIncomplete,  // DOUBLE dims with NULLs
+  kWidening,    // as kComplete, but inserts carry BIGINT cells the table
+                // widens to DOUBLE
+  kRanked,      // a BIGINT dim beyond ±2^53 and a VARCHAR DIFF dim: both
+                // are rank-encoded, so every write re-ranks the retained
+                // matrix
+};
+
+const char* KindName(ScheduleKind kind) {
+  switch (kind) {
+    case ScheduleKind::kComplete:
+      return "complete";
+    case ScheduleKind::kIncomplete:
+      return "incomplete";
+    case ScheduleKind::kWidening:
+      return "widening";
+    case ScheduleKind::kRanked:
+      return "ranked";
+  }
+  return "?";
+}
+
+// id, d0 DOUBLE, d1 BIGINT offset from 2^60, d2 VARCHAR "v0".."v3".
+Row RankedRow(int64_t id, Rng* rng) {
+  char label[8];
+  std::snprintf(label, sizeof(label), "v%d",
+                static_cast<int>(rng->UniformInt(0, 3)));
+  return {Value::Int64(id), Value::Double(rng->Uniform(0.0, 1.0)),
+          Value::Int64((int64_t{1} << 60) + rng->UniformInt(0, 999)),
+          Value::String(label)};
+}
+
+TablePtr RankedTable(size_t num_rows, Rng* rng) {
+  Schema schema({Field{"id", DataType::Int64(), false},
+                 Field{"d0", DataType::Double(), false},
+                 Field{"d1", DataType::Int64(), false},
+                 Field{"d2", DataType::String(), false}});
+  auto table = std::make_shared<Table>("t", schema);
+  for (size_t i = 0; i < num_rows; ++i) {
+    SL_CHECK_OK(table->AppendRow(RankedRow(static_cast<int64_t>(i), rng)));
+  }
+  return table;
+}
+
 // One seeded schedule: ~16 interleaved insert/query ops over a generated
-// points table, every query result checked against the oracle.
-void RunSchedule(uint64_t seed, bool complete_data, HarnessTotals* totals) {
+// table, every query result checked against the oracle, cell types
+// included.
+void RunSchedule(uint64_t seed, ScheduleKind kind, HarnessTotals* totals) {
   SCOPED_TRACE(::testing::Message()
-               << "seed=" << seed << " complete=" << complete_data);
-  // The "+ 1" keeps the schedules the former columnar-on half generated.
-  Rng rng(seed * 7919 + complete_data * 2 + 1);
+               << "seed=" << seed << " kind=" << KindName(kind));
+  // The complete/incomplete streams are the ones the harness has always
+  // generated; the newer kinds draw from their own.
+  const bool nullable = kind == ScheduleKind::kIncomplete;
+  const uint64_t stream =
+      kind == ScheduleKind::kComplete || kind == ScheduleKind::kIncomplete
+          ? seed * 7919 + !nullable * 2 + 1
+          : seed * 7919 + 104729 * static_cast<uint64_t>(kind);
+  Rng rng(stream);
 
   Session session;
   ASSERT_OK(session.SetConf("sparkline.cache.enabled", "true"));
   ASSERT_OK(session.SetConf("sparkline.cache.incremental", "true"));
 
-  const double null_rate = complete_data ? 0.0 : 0.25;
+  const double null_rate = nullable ? 0.25 : 0.0;
   const size_t num_rows = 24 + static_cast<size_t>(rng.UniformInt(0, 16));
-  const auto dist =
-      static_cast<datagen::PointDistribution>(rng.UniformInt(0, 2));
-  ASSERT_OK(session.catalog()->RegisterTable(
-      datagen::GeneratePoints("t", num_rows, 3, dist, seed, null_rate)));
+  if (kind == ScheduleKind::kRanked) {
+    ASSERT_OK(session.catalog()->RegisterTable(RankedTable(num_rows, &rng)));
+  } else {
+    const auto dist =
+        static_cast<datagen::PointDistribution>(rng.UniformInt(0, 2));
+    ASSERT_OK(session.catalog()->RegisterTable(
+        datagen::GeneratePoints("t", num_rows, 3, dist, seed, null_rate)));
+  }
 
   std::vector<std::string> queries;
-  if (complete_data) {
-    queries = {
-        "SELECT * FROM t SKYLINE OF d0 MIN, d1 MAX, d2 MIN",
-        "SELECT * FROM t SKYLINE OF d0 MIN, d1 MIN",
-        "SELECT * FROM t WHERE d0 < 0.7 SKYLINE OF d1 MIN, d2 MIN",
-        "SELECT * FROM t SKYLINE OF DISTINCT d0 MIN, d2 MAX",
-    };
-  } else {
-    // Incomplete semantics (nullable dims, no COMPLETE) is
-    // invalidation-only; the declared-COMPLETE query is maintainable but
-    // must fall back whenever a null reaches a dimension.
-    queries = {
-        "SELECT * FROM t SKYLINE OF d0 MIN, d1 MAX, d2 MIN",
-        "SELECT * FROM t SKYLINE OF d1 MIN, d2 MIN",
-        "SELECT * FROM t SKYLINE OF COMPLETE d0 MIN, d1 MAX",
-    };
+  switch (kind) {
+    case ScheduleKind::kComplete:
+    case ScheduleKind::kWidening:
+      queries = {
+          "SELECT * FROM t SKYLINE OF d0 MIN, d1 MAX, d2 MIN",
+          "SELECT * FROM t SKYLINE OF d0 MIN, d1 MIN",
+          "SELECT * FROM t WHERE d0 < 0.7 SKYLINE OF d1 MIN, d2 MIN",
+          "SELECT * FROM t SKYLINE OF DISTINCT d0 MIN, d2 MAX",
+      };
+      break;
+    case ScheduleKind::kIncomplete:
+      // Incomplete semantics (nullable dims, no COMPLETE) is
+      // invalidation-only; the declared-COMPLETE query is maintainable but
+      // must fall back whenever a null reaches a dimension.
+      queries = {
+          "SELECT * FROM t SKYLINE OF d0 MIN, d1 MAX, d2 MIN",
+          "SELECT * FROM t SKYLINE OF d1 MIN, d2 MIN",
+          "SELECT * FROM t SKYLINE OF COMPLETE d0 MIN, d1 MAX",
+      };
+      break;
+    case ScheduleKind::kRanked:
+      queries = {
+          "SELECT * FROM t SKYLINE OF d0 MIN, d1 MAX",
+          "SELECT * FROM t SKYLINE OF d1 MIN, d0 MAX, d2 DIFF",
+          "SELECT * FROM t WHERE d0 < 0.7 SKYLINE OF d0 MIN, d1 MIN, d2 DIFF",
+          "SELECT * FROM t SKYLINE OF d0 MAX, d1 MIN",
+      };
+      break;
   }
 
   int64_t next_id = 100000;
@@ -112,10 +190,17 @@ void RunSchedule(uint64_t seed, bool complete_data, HarnessTotals* totals) {
       const int64_t batch_size = rng.UniformInt(1, 6);
       std::vector<Row> batch;
       for (int64_t j = 0; j < batch_size; ++j) {
+        if (kind == ScheduleKind::kRanked) {
+          batch.push_back(RankedRow(next_id++, &rng));
+          continue;
+        }
         Row row{Value::Int64(next_id++)};
         for (int d = 0; d < 3; ++d) {
           if (null_rate > 0.0 && rng.Bernoulli(null_rate)) {
             row.push_back(Value::Null(DataType::Double()));
+          } else if (kind == ScheduleKind::kWidening && rng.Bernoulli(0.35)) {
+            // A BIGINT into a DOUBLE column: stored (and served) widened.
+            row.push_back(Value::Int64(rng.UniformInt(0, 1)));
           } else {
             row.push_back(Value::Double(rng.Uniform(0.0, 1.0)));
           }
@@ -137,8 +222,9 @@ void RunSchedule(uint64_t seed, bool complete_data, HarnessTotals* totals) {
       ASSERT_OK_AND_ASSIGN(QueryResult result, df.Collect());
       ASSERT_OK_AND_ASSIGN(TablePtr snapshot,
                            session.catalog()->GetTable("t"));
-      // The differential check: stale answers are impossible, hit or miss.
-      ASSERT_EQ(RowStrings(result.rows()), OracleRows(snapshot, sql))
+      // The differential check: stale answers are impossible, hit or miss,
+      // down to the type of every cell.
+      ASSERT_EQ(TypedRowStrings(result.rows()), OracleRows(snapshot, sql))
           << sql;
       ++totals->queries;
       if (result.metrics.cache_hit) {
@@ -159,31 +245,31 @@ void RunSchedule(uint64_t seed, bool complete_data, HarnessTotals* totals) {
   const auto stats = session.maintainer()->stats();
   totals->maintained += stats.maintained;
   totals->fallbacks += stats.fallbacks;
-  if (!complete_data) {
-    // Nullable-dim pipelines without COMPLETE never build a recipe, so at
-    // least some writes must have gone through invalidation.
-    EXPECT_GE(stats.fallbacks + stats.maintained, 0);
-  }
 }
 
 TEST(IncrementalDifferentialTest, MixedWorkloadSchedulesMatchOracle) {
-  // 60 seeds x {complete, incomplete} = 120 schedules.
-  HarnessTotals complete_totals;
-  HarnessTotals incomplete_totals;
+  // 60 seeds x {complete, incomplete, widening, ranked} = 240 schedules.
+  std::map<ScheduleKind, HarnessTotals> totals;
   for (uint64_t seed = 0; seed < 60; ++seed) {
-    RunSchedule(seed, /*complete_data=*/true, &complete_totals);
-    if (::testing::Test::HasFatalFailure()) return;
-    RunSchedule(seed, /*complete_data=*/false, &incomplete_totals);
-    if (::testing::Test::HasFatalFailure()) return;
+    for (ScheduleKind kind :
+         {ScheduleKind::kComplete, ScheduleKind::kIncomplete,
+          ScheduleKind::kWidening, ScheduleKind::kRanked}) {
+      RunSchedule(seed, kind, &totals[kind]);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
   }
   // The harness must actually exercise the maintained path, not just pass
-  // vacuously: complete-data schedules serve delta-maintained hits.
-  EXPECT_GT(complete_totals.delta_hits, 0);
-  EXPECT_GT(complete_totals.maintained, 0);
-  EXPECT_GT(complete_totals.queries, 500);
+  // vacuously: every complete-semantics kind serves delta-maintained hits.
+  for (ScheduleKind kind : {ScheduleKind::kComplete, ScheduleKind::kWidening,
+                            ScheduleKind::kRanked}) {
+    SCOPED_TRACE(KindName(kind));
+    EXPECT_GT(totals[kind].delta_hits, 0);
+    EXPECT_GT(totals[kind].maintained, 0);
+    EXPECT_GT(totals[kind].queries, 500);
+  }
   // And the unsound side must actually fall back.
-  EXPECT_GT(incomplete_totals.fallbacks, 0);
-  EXPECT_GT(incomplete_totals.queries, 500);
+  EXPECT_GT(totals[ScheduleKind::kIncomplete].fallbacks, 0);
+  EXPECT_GT(totals[ScheduleKind::kIncomplete].queries, 500);
 }
 
 // --- maintained-hit unit semantics -----------------------------------------
@@ -238,9 +324,100 @@ TEST_F(IncrementalSessionTest, MaintainedEntrySurvivesWrites) {
   EXPECT_EQ(session_->cache()->stats().invalidations, 0);
 }
 
+// InsertInto widens numerics: a BIGINT written to a DOUBLE column is stored
+// as DOUBLE. A maintained hit and a subscription delta must serve the
+// stored values, cell for cell and type for type, as a fresh execution
+// does — not the caller's unvalidated BIGINTs.
+TEST_F(IncrementalSessionTest, MaintainedHitKeepsWidenedTypes) {
+  Schema schema({Field{"a", DataType::Double(), false},
+                 Field{"b", DataType::Double(), false}});
+  auto table = std::make_shared<Table>("pts", schema);
+  ASSERT_OK(table->AppendRow({Value::Double(2.0), Value::Double(3.0)}));
+  ASSERT_OK(table->AppendRow({Value::Double(3.0), Value::Double(2.0)}));
+  ASSERT_OK(session_->catalog()->RegisterTable(table));
+  const std::string sql = "SELECT * FROM pts SKYLINE OF a MIN, b MIN";
+  std::mutex mu;
+  std::vector<Row> added;
+  ASSERT_OK(session_
+                ->Subscribe(sql,
+                            [&](const serve::SkylineDelta& d) {
+                              std::lock_guard<std::mutex> lock(mu);
+                              added.insert(added.end(), d.added.begin(),
+                                           d.added.end());
+                            })
+                .status());
+  Rows(session_.get(), sql);  // caches the entry
+
+  ASSERT_OK(session_->catalog()->InsertInto(
+      "pts", {{Value::Int64(1), Value::Int64(1)}}));
+  session_->catalog()->DrainWrites();
+  ASSERT_OK_AND_ASSIGN(auto df, session_->Sql(sql));
+  ASSERT_OK_AND_ASSIGN(QueryResult hit, df.Collect());
+  EXPECT_TRUE(hit.metrics.cache_hit);
+  EXPECT_EQ(hit.metrics.cache_delta_maintained, 1);
+  ASSERT_OK_AND_ASSIGN(TablePtr snapshot, session_->catalog()->GetTable("pts"));
+  const std::vector<Row> fresh = OracleResult(snapshot, sql);
+  ASSERT_EQ(hit.rows().size(), 1u);
+  ASSERT_EQ(fresh.size(), 1u);
+  for (size_t c = 0; c < 2; ++c) {
+    SCOPED_TRACE(StrCat("column ", c));
+    EXPECT_EQ(hit.rows()[0][c].type(), DataType::Double());
+    EXPECT_EQ(hit.rows()[0][c].type(), fresh[0][c].type());
+    EXPECT_TRUE(hit.rows()[0][c].Equals(fresh[0][c]));
+  }
+  std::lock_guard<std::mutex> lock(mu);
+  ASSERT_FALSE(added.empty());
+  EXPECT_EQ(added.back()[0].type(), DataType::Double());
+  EXPECT_EQ(added.back()[1].type(), DataType::Double());
+}
+
+// Successors carry the retained matrix: N writes of dominated rows to K
+// maintainable entries build K matrices (one per entry, at its first
+// maintenance), not N·K — and a write that changes the skyline hands the
+// successor a concatenated matrix rather than a rebuilt one.
+TEST_F(IncrementalSessionTest, RetainedMatrixIsBuiltOncePerEntry) {
+  ASSERT_OK(session_->catalog()->RegisterTable(TriSkyline("t")));
+  const std::vector<std::string> queries = {
+      kSql, "SELECT * FROM t WHERE x < 100 SKYLINE OF x MIN, y MIN",
+      "SELECT * FROM t WHERE y < 100 SKYLINE OF x MIN, y MIN"};
+  for (const std::string& sql : queries) Rows(session_.get(), sql);
+  const metrics::Counter* builds_total =
+      metrics::MetricsRegistry::Global().GetCounter(
+          "sparkline_incremental_matrix_builds_total");
+  const int64_t builds_before = builds_total->value();
+
+  constexpr int kWrites = 5;
+  for (int i = 0; i < kWrites; ++i) {
+    ASSERT_OK(session_->catalog()->InsertInto(
+        "t", {{Value::Int64(10 + i), Value::Double(5.0 + i),
+               Value::Double(5.0 + i)}}));
+    session_->catalog()->DrainWrites();
+  }
+  auto stats = session_->maintainer()->stats();
+  EXPECT_EQ(stats.maintained, kWrites * 3);
+  EXPECT_EQ(stats.fallbacks, 0);
+  EXPECT_EQ(stats.matrix_builds, 3);
+  EXPECT_EQ(builds_total->value() - builds_before, 3);
+
+  // A dominating write changes every entry; still no rebuild.
+  ASSERT_OK(session_->catalog()->InsertInto(
+      "t", {{Value::Int64(99), Value::Double(0.1), Value::Double(0.1)}}));
+  session_->catalog()->DrainWrites();
+  stats = session_->maintainer()->stats();
+  EXPECT_EQ(stats.maintained, kWrites * 3 + 3);
+  EXPECT_EQ(stats.matrix_builds, 3);
+  for (const std::string& sql : queries) {
+    ASSERT_OK_AND_ASSIGN(auto df, session_->Sql(sql));
+    ASSERT_OK_AND_ASSIGN(QueryResult r, df.Collect());
+    EXPECT_TRUE(r.metrics.cache_hit) << sql;
+    ASSERT_EQ(r.rows().size(), 1u) << sql;
+    EXPECT_EQ(r.rows()[0][0].int64_value(), 99) << sql;
+  }
+}
+
 // --- zone maps under writes --------------------------------------------------
 
-// Catalog::InsertInto maintains table zone maps incrementally (the CoW copy
+// Catalog::InsertInto maintains table zone maps incrementally (the successor
 // transplants the old map and only the inserted rows are observed — a
 // min/max merge, never a rebuild). Pin both halves of the contract: after
 // an arbitrary insert sequence (a) the maintained zone map is bit-identical
@@ -300,7 +477,7 @@ TEST_F(IncrementalSessionTest, ZoneMapsStayExactUnderWrites) {
   ASSERT_OK_AND_ASSIGN(TablePtr table, session_->catalog()->GetTable("t"));
   const ZoneMap& maintained = table->zone_map();
   const ZoneMap rebuilt =
-      ZoneMap::Build(table->rows(), table->schema().num_fields());
+      ZoneMap::Build(table->CopyRows(), table->schema().num_fields());
   ASSERT_EQ(maintained.columns.size(), rebuilt.columns.size());
   EXPECT_EQ(maintained.num_rows, rebuilt.num_rows);
   for (size_t c = 0; c < rebuilt.columns.size(); ++c) {
@@ -323,7 +500,7 @@ TEST_F(IncrementalSessionTest, ZoneMapsStayExactUnderWrites) {
   const auto fresh = Rows(&cold, sql);
   EXPECT_SAME_ROWS(served.rows(), fresh);
   EXPECT_SAME_ROWS(fresh, skyline::BruteForceSkyline(
-                              table->rows(),
+                              table->CopyRows(),
                               {{1, SkylineGoal::kMin}, {2, SkylineGoal::kMin}},
                               {}));
 }
@@ -392,7 +569,7 @@ TEST_F(IncrementalSessionTest, DistinctDuplicateDimensionsFallBack) {
   ASSERT_OK_AND_ASSIGN(QueryResult r, df.Collect());
   EXPECT_FALSE(r.metrics.cache_hit);
   ASSERT_OK_AND_ASSIGN(TablePtr snapshot, session_->catalog()->GetTable("t"));
-  EXPECT_EQ(RowStrings(r.rows()), OracleRows(snapshot, sql));
+  EXPECT_EQ(TypedRowStrings(r.rows()), OracleRows(snapshot, sql));
   EXPECT_GT(session_->maintainer()->stats().fallbacks, 0);
 }
 
@@ -409,7 +586,7 @@ TEST_F(IncrementalSessionTest, IncompleteDominanceIsInvalidationOnly) {
   ASSERT_OK_AND_ASSIGN(QueryResult r, df.Collect());
   EXPECT_FALSE(r.metrics.cache_hit);
   ASSERT_OK_AND_ASSIGN(TablePtr snapshot, session_->catalog()->GetTable("t"));
-  EXPECT_EQ(RowStrings(r.rows()), OracleRows(snapshot, kSql));
+  EXPECT_EQ(TypedRowStrings(r.rows()), OracleRows(snapshot, kSql));
   EXPECT_EQ(session_->maintainer()->stats().maintained, 0);
 }
 
@@ -522,7 +699,7 @@ TEST_F(IncrementalSessionTest, SubscribeResyncMatchesOracleOnLargeTable) {
   const std::vector<skyline::BoundDimension> dims{
       {1, SkylineGoal::kMin}, {2, SkylineGoal::kMax}, {3, SkylineGoal::kMin}};
   std::vector<Row> filtered;
-  for (const Row& row : table->rows()) {
+  for (const Row& row : table->CopyRows()) {
     if (row[1].double_value() < 0.8) filtered.push_back(row);
   }
   skyline::SkylineOptions distinct;
@@ -532,7 +709,7 @@ TEST_F(IncrementalSessionTest, SubscribeResyncMatchesOracleOnLargeTable) {
     std::vector<Row> oracle;
   } cases[] = {
       {"SELECT * FROM big SKYLINE OF d0 MIN, d1 MAX, d2 MIN",
-       skyline::BruteForceSkyline(table->rows(), dims, {})},
+       skyline::BruteForceSkyline(table->CopyRows(), dims, {})},
       {"SELECT * FROM big WHERE d0 < 0.8 SKYLINE OF DISTINCT d0 MIN, d1 MAX, "
        "d2 MIN",
        skyline::BruteForceSkyline(filtered, dims, distinct)},
@@ -708,7 +885,7 @@ TEST(IncrementalConcurrencyTest, WritersRaceReadersAndSubscriber) {
 
   // Cumulative subscription state == fresh skyline over the final snapshot.
   ASSERT_OK_AND_ASSIGN(TablePtr snapshot, session.catalog()->GetTable("t"));
-  std::vector<std::string> expected = OracleRows(snapshot, sql);
+  std::vector<std::string> expected = RowStrings(OracleResult(snapshot, sql));
   std::vector<std::string> cumulative;
   {
     std::lock_guard<std::mutex> lock(state_mu);

@@ -54,7 +54,7 @@ TEST_P(ConfigMatrix, AllConfigurationsAgreeWithBruteForce) {
   oracle_options.nulls = incomplete ? skyline::NullSemantics::kIncomplete
                                     : skyline::NullSemantics::kComplete;
   const std::vector<std::string> expected = RowStrings(
-      skyline::BruteForceSkyline(table->rows(), oracle_dims, oracle_options));
+      skyline::BruteForceSkyline(table->CopyRows(), oracle_dims, oracle_options));
   ASSERT_FALSE(expected.empty());
 
   // The kernel axis crosses SFS with its sort key (which only the SFS
@@ -148,7 +148,7 @@ TEST_P(IncompleteParallel, MatchesBruteForceOracle) {
   oracle_options.distinct = param.distinct;
   oracle_options.nulls = skyline::NullSemantics::kIncomplete;
   const std::vector<std::string> expected = RowStrings(
-      skyline::BruteForceSkyline(table->rows(), oracle_dims, oracle_options));
+      skyline::BruteForceSkyline(table->CopyRows(), oracle_dims, oracle_options));
   ASSERT_FALSE(expected.empty());
 
   ASSERT_OK(session.SetConf("sparkline.skyline.strategy", "incomplete"));
@@ -356,7 +356,7 @@ TEST(ColumnarExchange, NestedSkylineWithDifferentDimsReprojects) {
       "SKYLINE OF d2 MIN, d1 MIN";
   // Column 0 is the id; d0..d2 are ordinals 1..3.
   const std::vector<Row> inner = skyline::BruteForceSkyline(
-      table->rows(), {{1, SkylineGoal::kMin}, {2, SkylineGoal::kMax}}, {});
+      table->CopyRows(), {{1, SkylineGoal::kMin}, {2, SkylineGoal::kMax}}, {});
   const std::vector<std::string> expected =
       RowStrings(skyline::BruteForceSkyline(
           inner, {{3, SkylineGoal::kMin}, {2, SkylineGoal::kMin}}, {}));
@@ -476,7 +476,7 @@ TEST(SfsEarlyStopEndToEnd, CorrelatedSkylineSkipsAndMatches) {
       << "the stop point must skip >30% of a correlated table";
   EXPECT_EQ(RowStrings(result->rows()),
             RowStrings(skyline::BruteForceSkyline(
-                table->rows(),
+                table->CopyRows(),
                 {{1, SkylineGoal::kMin},
                  {2, SkylineGoal::kMin},
                  {3, SkylineGoal::kMin}},

@@ -3,17 +3,22 @@
 // hammer of mixed cached/uncached skyline queries checked against the
 // brute-force oracle. A cache hit must be *bit-identical* to uncached
 // execution — same rows, same order, in fact the same shared snapshot.
+#include <algorithm>
 #include <future>
 #include <mutex>
 #include <thread>
 
 #include <gtest/gtest.h>
 
+#include "api/query_result.h"
+#include "common/rng.h"
 #include "common/string_util.h"
 #include "datagen/datagen.h"
 #include "serve/fingerprint.h"
+#include "serve/incremental.h"
 #include "serve/query_service.h"
 #include "serve/result_cache.h"
+#include "skyline/columnar.h"
 #include "skyline/reference.h"
 #include "test_util.h"
 
@@ -376,6 +381,69 @@ TEST(CachedExecutionTest, HitIsBitIdenticalAndMetricsDistinguish) {
   EXPECT_EQ(stats.misses, 1);
 }
 
+// A maintained successor is charged its rows' estimate from the delta
+// (predecessor - evicted + entering) plus its retained matrix. After many
+// writes — dominated, entering and evicting — every entry's charge must
+// equal a from-scratch estimate of what it holds, and its carried matrix
+// must equal one built from its rows.
+TEST(CachedExecutionTest, MaintainedEntryBytesMatchFromScratchEstimate) {
+  Session session;
+  ASSERT_OK(session.SetConf("sparkline.cache.enabled", "true"));
+  ASSERT_OK(session.catalog()->RegisterTable(datagen::GeneratePoints(
+      "pts", 400, 3, datagen::PointDistribution::kAntiCorrelated,
+      /*seed=*/21)));
+  const std::vector<std::string> queries = {
+      "SELECT * FROM pts SKYLINE OF d0 MIN, d1 MIN",
+      "SELECT * FROM pts WHERE d2 < 0.8 SKYLINE OF d0 MIN, d1 MAX, d2 MIN"};
+  for (const std::string& sql : queries) {
+    ASSERT_OK(session.Sql(sql)->Collect().status());
+  }
+
+  Rng rng(5);
+  int64_t next_id = 1000;
+  for (int write = 0; write < 12; ++write) {
+    std::vector<Row> batch;
+    for (int i = 0; i < 3; ++i) {
+      // Low coordinates enter (and evict), high ones are dominated.
+      const double scale = write % 3 == 0 ? 1.0 : 0.3;
+      batch.push_back({Value::Int64(next_id++),
+                       Value::Double(rng.Uniform(0.0, scale)),
+                       Value::Double(rng.Uniform(0.0, scale)),
+                       Value::Double(rng.Uniform(0.0, scale))});
+    }
+    ASSERT_OK(session.catalog()->InsertInto("pts", batch));
+    session.catalog()->DrainWrites();
+  }
+
+  const auto entries = session.cache()->EntriesForTable("pts");
+  ASSERT_EQ(entries.size(), queries.size());
+  int64_t charged = 0;
+  for (const auto& entry : entries) {
+    EXPECT_EQ(entry->delta_count, 12);
+    // Some inserted row entered (ids from 1000 on), so successors changed.
+    EXPECT_TRUE(std::any_of(
+        entry->rows->begin(), entry->rows->end(),
+        [](const Row& row) { return row[0].int64_value() >= 1000; }));
+    EXPECT_EQ(entry->bytes, EstimatedRowsBytes(*entry->rows));
+    ASSERT_NE(entry->matrix, nullptr);
+    EXPECT_EQ(entry->matrix_bytes, entry->matrix->MemoryBytes());
+    EXPECT_EQ(entry->charged_bytes(), entry->bytes + entry->matrix_bytes);
+    charged += entry->charged_bytes();
+
+    const skyline::DominanceMatrix rebuilt =
+        skyline::DominanceMatrix::Build(*entry->rows, entry->recipe->dims);
+    ASSERT_EQ(entry->matrix->num_rows(), rebuilt.num_rows());
+    for (uint32_t r = 0; r < rebuilt.num_rows(); ++r) {
+      for (size_t d = 0; d < rebuilt.num_dims(); ++d) {
+        EXPECT_EQ(entry->matrix->key(r, d), rebuilt.key(r, d));
+      }
+    }
+  }
+  EXPECT_EQ(session.cache()->stats().resident_bytes, charged);
+  EXPECT_GT(session.maintainer()->stats().maintained, 0);
+  EXPECT_EQ(session.maintainer()->stats().fallbacks, 0);
+}
+
 TEST(CachedExecutionTest, InsertAndDropInvalidate) {
   Session session;
   ASSERT_OK(session.SetConf("sparkline.cache.enabled", "true"));
@@ -684,7 +752,7 @@ TEST(ServeHammerTest, ConcurrentMixedWorkloadMatchesOracle) {
     Query q;
     q.sql = StrCat("SELECT * FROM pts SKYLINE OF ", JoinStrings(items, ", "));
     q.expected = RowStrings(skyline::BruteForceSkyline(
-        table->rows(), dims, skyline::SkylineOptions{}));
+        table->CopyRows(), dims, skyline::SkylineOptions{}));
     queries.push_back(std::move(q));
   }
   // Per-thread unique filters (never cached twice) against one oracle run

@@ -105,7 +105,7 @@ TEST_P(IncompleteOracle, AutoStrategyMatchesBruteForceOnIncompleteData) {
   }
   skyline::SkylineOptions opts;
   opts.nulls = skyline::NullSemantics::kIncomplete;
-  auto oracle = skyline::BruteForceSkyline(table->rows(), dims, opts);
+  auto oracle = skyline::BruteForceSkyline(table->CopyRows(), dims, opts);
   EXPECT_SAME_ROWS(rows, oracle);
 }
 
@@ -261,7 +261,7 @@ TEST(SqlE2eTest, SingleDimSkylineMatchesBruteForce) {
         StrCat("SELECT id, d0 FROM pts SKYLINE OF d0 ",
                goal == SkylineGoal::kMin ? "MIN" : "MAX");
     EXPECT_SAME_ROWS(Rows(&session, sql),
-                     skyline::BruteForceSkyline(table->rows(), {{1, goal}}, {}))
+                     skyline::BruteForceSkyline(table->CopyRows(), {{1, goal}}, {}))
         << sql;
   }
 }

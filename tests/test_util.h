@@ -26,6 +26,24 @@ inline std::vector<std::string> RowStrings(const std::vector<Row>& rows) {
   return out;
 }
 
+/// Like RowStrings, but every cell also names its type ("(1:DOUBLE, ...)"),
+/// so a BIGINT 1 and a DOUBLE 1 differ. Use it wherever a result is checked
+/// against an oracle that must agree on types, not only on printed values.
+inline std::vector<std::string> TypedRowStrings(const std::vector<Row>& rows) {
+  std::vector<std::string> out;
+  out.reserve(rows.size());
+  for (const auto& r : rows) {
+    std::string s = "(";
+    for (size_t i = 0; i < r.size(); ++i) {
+      if (i > 0) s += ", ";
+      s += r[i].ToString() + ":" + r[i].type().ToString();
+    }
+    out.push_back(s + ")");
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 /// Asserts that two row sets are equal as multisets.
 #define EXPECT_SAME_ROWS(a, b)                                 \
   EXPECT_EQ(::sparkline::testing::RowStrings(a),               \
