@@ -1,7 +1,9 @@
 #include "common/thread_pool.h"
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
+#include <memory>
 
 #include "common/logging.h"
 
@@ -77,6 +79,84 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
+ThreadPool* ExecutorPool() {
+  // Never destroyed: queries may still be running on other threads while
+  // static destructors run at exit, and the workers must outlive them.
+  static ThreadPool* const pool = new ThreadPool(
+      std::max<size_t>(1, std::thread::hardware_concurrency()));
+  return pool;
+}
+
+namespace {
+
+/// One ParallelFor call. The caller and every helper the pool runs for it
+/// share this block, so a helper that starts after the caller returned
+/// touches only the heap. `fn` lives in the caller's frame; it is called
+/// only by whoever claimed an index below `n`, and the caller does not
+/// return before every claimed index has finished.
+struct TaskGroup {
+  TaskGroup(ThreadPool* pool, size_t n, const std::function<void(size_t)>* fn)
+      : pool(pool), n(n), fn(fn) {}
+
+  ThreadPool* const pool;
+  const size_t n;
+  const std::function<void(size_t)>* const fn;
+  std::atomic<size_t> next{0};      // next unclaimed index
+  std::atomic<size_t> finished{0};  // tasks run to completion
+  std::atomic<size_t> helpers{0};   // pool workers woken for this group
+  sl::Mutex mu;  // orders the last finisher's notify after the caller's check
+  sl::CondVar all_finished;
+};
+
+void RunTask(TaskGroup* group, size_t i) {
+  // fn(i) throwing must still count the task as finished, or the caller
+  // waits forever.
+  try {
+    (*group->fn)(i);
+  } catch (const std::exception& e) {
+    SL_LOG_ERROR << "ParallelFor task " << i << " threw '" << e.what()
+                 << "'; treating as completed (errors belong in Status)";
+  } catch (...) {
+    SL_LOG_ERROR << "ParallelFor task " << i
+                 << " threw a non-std::exception; treating as completed";
+  }
+  if (group->finished.fetch_add(1, std::memory_order_acq_rel) + 1 ==
+      group->n) {
+    sl::MutexLock lock(&group->mu);
+    group->all_finished.NotifyAll();
+  }
+}
+
+/// Claims and runs tasks until none is left unclaimed.
+void Drain(TaskGroup* group) {
+  for (;;) {
+    const size_t i = group->next.fetch_add(1, std::memory_order_relaxed);
+    if (i >= group->n) return;
+    RunTask(group, i);
+  }
+}
+
+void RunHelper(const std::shared_ptr<TaskGroup>& group);
+
+/// Wakes one more pool worker for `group` while two or more of its tasks
+/// are unclaimed (one for the waker, one for the woken) and the pool has a
+/// worker that is not helping it yet.
+void WakeHelper(const std::shared_ptr<TaskGroup>& group) {
+  if (group->next.load(std::memory_order_relaxed) + 2 > group->n) return;
+  if (group->helpers.fetch_add(1, std::memory_order_relaxed) >=
+      group->pool->num_threads()) {
+    return;
+  }
+  group->pool->Submit([group] { RunHelper(group); });
+}
+
+void RunHelper(const std::shared_ptr<TaskGroup>& group) {
+  WakeHelper(group);
+  Drain(group.get());
+}
+
+}  // namespace
+
 void ParallelFor(ThreadPool* pool, size_t n,
                  const std::function<void(size_t)>& fn) {
   if (n == 0) return;
@@ -84,32 +164,16 @@ void ParallelFor(ThreadPool* pool, size_t n,
     for (size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  std::atomic<size_t> remaining{n};
-  sl::Mutex mu;
-  sl::CondVar done;
-  for (size_t i = 0; i < n; ++i) {
-    pool->Submit([&, i] {
-      // fn(i) throwing must not skip the decrement below, or the waiter
-      // blocks forever on stack objects the worker will never touch again.
-      try {
-        fn(i);
-      } catch (const std::exception& e) {
-        SL_LOG_ERROR << "ParallelFor task " << i << " threw '" << e.what()
-                     << "'; treating as completed (errors belong in Status)";
-      } catch (...) {
-        SL_LOG_ERROR << "ParallelFor task " << i
-                     << " threw a non-std::exception; treating as completed";
-      }
-      // The decrement must happen under the mutex: decrementing to zero
-      // before acquiring it lets the waiter observe completion, return and
-      // destroy mu/done while this worker is still about to lock/notify —
-      // a use-after-free of stack synchronization objects.
-      sl::MutexLock lock(&mu);
-      if (remaining.fetch_sub(1) == 1) done.NotifyAll();
-    });
+  auto group = std::make_shared<TaskGroup>(pool, n, &fn);
+  WakeHelper(group);
+  Drain(group.get());
+  // Every index is claimed; the ones still running are on threads that are
+  // already executing them, so this wait cannot depend on a queued helper.
+  TaskGroup* g = group.get();
+  sl::MutexLock lock(&g->mu);
+  while (g->finished.load(std::memory_order_acquire) != n) {
+    g->all_finished.Wait(&g->mu);
   }
-  sl::MutexLock lock(&mu);
-  while (remaining.load() != 0) done.Wait(&mu);
 }
 
 }  // namespace sparkline

@@ -1,4 +1,6 @@
-// Fixed-size worker pool used to run per-partition tasks of a query stage.
+// Fixed-size worker pools: the process-wide executor pool that runs the
+// per-partition tasks of every query stage, and the serving tier's query
+// threads.
 #pragma once
 
 #include <cstddef>
@@ -13,9 +15,8 @@ namespace sparkline {
 
 /// \brief A fixed-size thread pool with a simple FIFO queue.
 ///
-/// The executor uses one logical "executor slot" per simulated Spark executor;
-/// tasks are per-partition closures. The pool is intentionally simple: tasks
-/// must not throw (all sparkline code reports errors via Status).
+/// Tasks must not throw (all sparkline code reports errors via Status); a
+/// task that does costs itself, not the pool.
 class ThreadPool {
  public:
   /// Creates a pool with `num_threads` workers (at least 1).
@@ -45,12 +46,25 @@ class ThreadPool {
   bool shutdown_ SL_GUARDED_BY(mu_) = false;
 };
 
-/// \brief Runs fn(0) .. fn(n-1) on the pool and waits for completion.
+/// \brief The process-wide executor pool: `hardware_concurrency()` workers
+/// (at least 1), started on first use and kept for the life of the process.
+/// Every query's stages run on it; the simulated cluster's executor count
+/// (`sparkline.executors`) sets partitions, not threads.
+ThreadPool* ExecutorPool();
+
+/// \brief Runs fn(0) .. fn(n-1) as one task group and waits for completion.
 ///
-/// `fn` must be safe to call concurrently for distinct indices. Used by the
-/// executor to process the partitions of a stage "in parallel" (on this
-/// single-core reference machine the parallelism is simulated; per-task CPU
-/// time is what the metrics aggregate).
+/// The calling thread claims and runs tasks of its own group. It wakes at
+/// most one pool worker; each helper that still finds two or more unclaimed
+/// tasks wakes one more, so a group the caller finishes alone never waits
+/// for a worker. The caller waits only for tasks that are already running,
+/// which keeps concurrent groups (and groups started from inside a pool task)
+/// free of deadlock on a saturated pool. A helper that starts after the call
+/// returned touches only the group's heap state, never the caller's frame.
+///
+/// `fn` must be safe to call concurrently for distinct indices. Which thread
+/// runs a task is not observable in the metrics: per-task CPU time feeds the
+/// simulated critical-path model, not the number of physical threads.
 void ParallelFor(ThreadPool* pool, size_t n,
                  const std::function<void(size_t)>& fn);
 

@@ -1,9 +1,11 @@
 // Execution context: the simulated cluster.
 //
 // Spark in the paper runs on an 18-datanode YARN cluster with a configurable
-// number of executors. Here each executor is a worker slot of a thread pool;
-// stage tasks (one per partition) are timed with the per-thread CPU clock and
-// combined into a critical-path "simulated cluster time":
+// number of executors. Here the executor count sets how many partitions (and
+// so stage tasks) a query has; the tasks run on the process-wide executor
+// pool (ExecutorPool(), one worker per hardware thread, shared by every
+// query), are timed with the per-thread CPU clock and combined into a
+// critical-path "simulated cluster time":
 //
 //   simulated_ms = sum over stages of (max over partition tasks of CPU time)
 //
@@ -158,9 +160,7 @@ struct QueryMetrics {
 class ExecContext {
  public:
   explicit ExecContext(const ClusterConfig& config)
-      : config_(config),
-        pool_(std::make_unique<ThreadPool>(
-            static_cast<size_t>(config.num_executors))) {
+      : config_(config), pool_(ExecutorPool()) {
     if (config_.timeout_ms > 0) {
       deadline_nanos_ = StopWatch::NowNanos() + config_.timeout_ms * 1000000;
     }
@@ -171,7 +171,8 @@ class ExecContext {
   }
 
   const ClusterConfig& config() const { return config_; }
-  ThreadPool* pool() { return pool_.get(); }
+  /// The shared executor pool the query's stages run on (not owned).
+  ThreadPool* pool() { return pool_; }
   MemoryTracker* memory() { return &memory_; }
   skyline::DominanceCounter* dominance() { return &dominance_; }
   /// Separate counter for the post-gather GlobalSkyline* merge stages;
@@ -330,7 +331,7 @@ class ExecContext {
 
  private:
   ClusterConfig config_;
-  std::unique_ptr<ThreadPool> pool_;
+  ThreadPool* pool_;
   std::unique_ptr<Trace> trace_;
   MemoryTracker memory_;
   skyline::DominanceCounter dominance_;

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <thread>
+#include <unordered_map>
 
 #include "common/failpoint.h"
 #include "common/metrics.h"
@@ -30,6 +31,25 @@ int64_t EstimateRelationBytes(const PartitionedRelation& rel) {
   }
   return total;
 }
+
+namespace {
+
+/// The `sparkline_stage_us{stage=...}` histogram of a stage label, resolved
+/// from the registry once per label and thread: the registry lookup takes
+/// its global mutex and renders the label set, and stages run on every
+/// query. Instruments are never removed, so the cached pointers stay valid.
+metrics::Histogram* StageHistogram(const std::string& stage_label) {
+  thread_local std::unordered_map<std::string, metrics::Histogram*> cache;
+  auto it = cache.find(stage_label);
+  if (it != cache.end()) return it->second;
+  metrics::Histogram* histogram =
+      metrics::MetricsRegistry::Global().GetHistogram(
+          "sparkline_stage_us", {{"stage", stage_label}});
+  cache.emplace(stage_label, histogram);
+  return histogram;
+}
+
+}  // namespace
 
 std::string PhysicalPlan::TreeString() const {
   std::string out = label();
@@ -74,9 +94,8 @@ Status PhysicalPlan::RunStage(ExecContext* ctx, const std::string& stage_label,
   // (retries included — a re-executed task lengthens its stage).
   const double critical_ms = *std::max_element(cpu_ms.begin(), cpu_ms.end());
   ctx->AddStageTime(stage_label, critical_ms);
-  metrics::MetricsRegistry::Global()
-      .GetHistogram("sparkline_stage_us", {{"stage", stage_label}})
-      ->Observe(static_cast<int64_t>(critical_ms * 1000.0));
+  StageHistogram(stage_label)->Observe(
+      static_cast<int64_t>(critical_ms * 1000.0));
   if (stage_span != nullptr) {
     trace->Annotate(stage_span, "critical_path_ms",
                     FormatFixed(critical_ms, 3));

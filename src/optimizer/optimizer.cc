@@ -44,11 +44,13 @@ Result<LogicalPlanPtr> Optimizer::Optimize(const LogicalPlanPtr& plan) const {
   LogicalPlanPtr current = plan;
   for (const auto& batch : batches_) {
     for (int iter = 0; iter < batch.max_iterations; ++iter) {
-      const std::string before = current->TreeString();
+      // Fixed point by identity: every rule returns its input pointer when
+      // it does not apply, and the plan transforms keep node identity.
+      const LogicalPlanPtr before = current;
       for (const auto& rule : batch.rules) {
         SL_ASSIGN_OR_RETURN(current, rule.apply(current));
       }
-      if (current->TreeString() == before) break;
+      if (current == before) break;
       if (iter == batch.max_iterations - 1 && batch.max_iterations > 1) {
         SL_LOG_WARN << "optimizer batch '" << batch.name
                     << "' hit max iterations without reaching a fixed point";

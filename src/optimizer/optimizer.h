@@ -2,7 +2,8 @@
 //
 // Rules run in named batches; each batch iterates to a fixed point (bounded
 // by max_iterations) before the next batch starts, exactly like Spark's
-// RuleExecutor. Every rule always runs; the one switch, rewriting skylines
+// RuleExecutor. The fixed point is detected by identity: a pass in which
+// every rule returned its input pointer. Every rule always runs; the one switch, rewriting skylines
 // to the plain-SQL reference plan, selects an algorithm rather than an
 // optimization. The measured effect of each rule is recorded in the
 // "Retired ablations" table of docs/ARCHITECTURE.md.

@@ -7,7 +7,8 @@
 // concurrency, admission control and cancellation on top:
 //
 //   - max_concurrent service threads execute queries in parallel (each
-//     query still gets its own simulated-cluster ExecContext/pool).
+//     query still gets its own simulated-cluster ExecContext; their stage
+//     tasks share the process-wide executor pool).
 //   - Admission cap: at most `max_pending` queries may be in flight
 //     (queued + running). Beyond that Submit fails fast with
 //     Status::Unavailable instead of queueing unboundedly — callers are

@@ -1,8 +1,14 @@
 // Tests for src/common: Status/Result, string utils, thread pool, memory
 // tracker, RNG distributions.
+#include <algorithm>
 #include <atomic>
+#include <functional>
+#include <future>
+#include <memory>
 #include <set>
 #include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -136,6 +142,81 @@ TEST(ThreadPoolTest, SurvivesThrowingTasks) {
   }
   pool.WaitIdle();
   EXPECT_EQ(counter.load(), 32);
+}
+
+// A group's helper that the pool starts only after the caller returned
+// must touch nothing of the caller's. On a 1-thread pool whose worker is
+// busy, the caller runs both tasks itself and returns while its helper is
+// still queued; `fn` is freed before the helper runs, so a helper that
+// dereferenced it would be a heap-use-after-free under ASan.
+TEST(ThreadPoolTest, LateHelperNeverTouchesCallerFrame) {
+  ThreadPool pool(1);
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::atomic<bool> blocked{false};
+  pool.Submit([&blocked, released] {
+    blocked.store(true);
+    released.wait();
+  });
+  while (!blocked.load()) std::this_thread::yield();
+
+  std::vector<int> runs(2, 0);
+  auto fn = std::make_unique<std::function<void(size_t)>>(
+      [&runs](size_t i) { ++runs[i]; });
+  ParallelFor(&pool, 2, *fn);
+  fn.reset();
+  EXPECT_EQ(runs, (std::vector<int>{1, 1}));
+
+  release.set_value();
+  pool.WaitIdle();  // the queued helper runs now, after ParallelFor returned
+  EXPECT_EQ(runs, (std::vector<int>{1, 1}));
+}
+
+// Concurrent groups share a pool smaller than their number: each caller
+// waits only on tasks already running, so none can deadlock, and every
+// index of every group runs exactly once.
+TEST(ThreadPoolTest, ConcurrentGroupsOnSmallPool) {
+  ThreadPool pool(2);
+  constexpr int kCallers = 8;
+  constexpr size_t kTasks = 64;
+  std::vector<std::vector<std::atomic<int>>> hits(kCallers);
+  for (auto& h : hits) h = std::vector<std::atomic<int>>(kTasks);
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&pool, &hits, c] {
+      for (int round = 0; round < 20; ++round) {
+        ParallelFor(&pool, kTasks, [&hits, c](size_t i) {
+          hits[c][i].fetch_add(1);
+        });
+      }
+    });
+  }
+  for (auto& t : callers) t.join();
+  for (const auto& h : hits) {
+    for (const auto& count : h) EXPECT_EQ(count.load(), 20);
+  }
+}
+
+// A task may start a group of its own (a stage inside a stage task): on a
+// 1-thread pool the inner caller is the pool's only worker, and it runs its
+// group alone instead of waiting for a helper that cannot start.
+TEST(ThreadPoolTest, NestedGroupsOnOneThreadPool) {
+  ThreadPool pool(1);
+  std::vector<std::atomic<int>> hits(8 * 8);
+  ParallelFor(&pool, 8, [&](size_t outer) {
+    ParallelFor(&pool, 8, [&](size_t inner) {
+      hits[outer * 8 + inner].fetch_add(1);
+    });
+  });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPoolTest, ExecutorPoolIsOneProcessWidePool) {
+  ThreadPool* pool = ExecutorPool();
+  ASSERT_NE(pool, nullptr);
+  EXPECT_EQ(pool, ExecutorPool());
+  EXPECT_EQ(pool->num_threads(),
+            std::max<size_t>(1, std::thread::hardware_concurrency()));
 }
 
 TEST(MemoryTrackerTest, TracksPeak) {

@@ -2,6 +2,9 @@
 // of paper section 5.4 and the Listing-4 reference rewriting.
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <map>
+
 #include "analysis/analyzer.h"
 #include "optimizer/optimizer.h"
 #include "plan/plan_clone.h"
@@ -264,6 +267,128 @@ TEST_F(OptimizerTest, FixpointTerminates) {
       "SELECT id, price FROM listings WHERE price > 0) a WHERE id < 100) b "
       "WHERE p < 500");
   EXPECT_LE(CountNodes(plan, PlanKind::kFilter), 1);
+}
+
+/// `plan`'s TreeString with expression ids renumbered in order of first
+/// appearance, so two runs of a rule that mints fresh ids (the reference
+/// rewrite clones its input) compare equal.
+std::string CanonicalTreeString(const LogicalPlanPtr& plan) {
+  const std::string tree = plan->TreeString();
+  std::map<std::string, int> ids;
+  std::string out;
+  for (size_t i = 0; i < tree.size();) {
+    out += tree[i];
+    if (tree[i++] != '#') continue;
+    size_t end = i;
+    while (end < tree.size() &&
+           std::isdigit(static_cast<unsigned char>(tree[end]))) {
+      ++end;
+    }
+    const std::string id = tree.substr(i, end - i);
+    if (!id.empty()) {
+      out += std::to_string(ids.emplace(id, static_cast<int>(ids.size()))
+                                .first->second);
+    }
+    i = end;
+  }
+  return out;
+}
+
+// The optimizer stops a batch when a pass leaves the plan pointer unchanged.
+// Over every query shape of this suite and of sql_e2e_test, each batch must
+// reach that fixed point (no "hit max iterations" warning) and produce the
+// same plan as iterating until the rendered plan stops changing.
+TEST_F(OptimizerTest, IdentityFixedPointMatchesRenderedFixedPoint) {
+  const std::vector<std::string> shapes = {
+      // optimizer_test
+      "SELECT 1 + 2 * 3 AS v FROM listings",
+      "SELECT id FROM listings WHERE true AND price > 0",
+      "SELECT * FROM (SELECT id, price FROM listings) t "
+      "WHERE price > 1 AND id < 5",
+      "SELECT * FROM listings l JOIN hosts h ON l.host = h.id "
+      "WHERE l.price > 10 AND h.since > 2000",
+      "SELECT id, price, rating, host FROM listings",
+      "SELECT price FROM listings",
+      "SELECT DISTINCT host FROM listings",
+      "SELECT * FROM listings SKYLINE OF price MIN",
+      "SELECT * FROM listings SKYLINE OF price MAX",
+      "SELECT * FROM listings SKYLINE OF rating MAX",
+      "SELECT * FROM listings SKYLINE OF COMPLETE rating MAX",
+      "SELECT * FROM listings SKYLINE OF DISTINCT price MIN",
+      "SELECT * FROM listings SKYLINE OF host DIFF",
+      "SELECT l.price, l.rating, h.since FROM listings l "
+      "JOIN hosts h ON l.host = h.id "
+      "SKYLINE OF COMPLETE l.price MIN, l.rating MAX",
+      "SELECT l.price, l.rating FROM listings l "
+      "LEFT OUTER JOIN hosts h ON l.host = h.id "
+      "SKYLINE OF COMPLETE l.price MIN, l.rating MAX",
+      "SELECT l.price, l.rating FROM listings l "
+      "JOIN hosts h ON l.id = h.since "
+      "SKYLINE OF COMPLETE l.price MIN, l.rating MAX",
+      "SELECT l.price, h.since FROM listings l JOIN hosts h ON l.host = h.id "
+      "SKYLINE OF COMPLETE l.price MIN, h.since MAX",
+      "SELECT price, rating FROM listings SKYLINE OF price MIN, rating MAX",
+      "SELECT id, price * 2 AS p2 FROM listings WHERE id > 0",
+      "SELECT p FROM (SELECT price AS p FROM ("
+      "SELECT id, price FROM listings WHERE price > 0) a WHERE id < 100) b "
+      "WHERE p < 500",
+      // sql_e2e_test, on this suite's tables
+      "SELECT id, price, rating FROM listings SKYLINE OF price MIN, "
+      "rating MIN",
+      "SELECT id, price, rating FROM listings SKYLINE OF COMPLETE price MIN, "
+      "rating MIN",
+      "SELECT id, price, rating FROM listings AS o WHERE NOT EXISTS("
+      "SELECT * FROM listings AS i WHERE i.price <= o.price AND "
+      "i.rating <= o.rating AND (i.price < o.price OR i.rating < o.rating))",
+      "SELECT * FROM listings SKYLINE OF DISTINCT price MIN, host MIN",
+      "SELECT id, price, rating FROM listings WHERE price > 0.5 "
+      "SKYLINE OF price MIN, rating MIN",
+      "SELECT id, price, rating FROM listings SKYLINE OF price MIN, "
+      "rating MAX",
+      "SELECT * FROM listings SKYLINE OF host DIFF, price MIN",
+      "SELECT host, min(price) AS cheapest FROM listings GROUP BY host "
+      "SKYLINE OF cheapest MIN, avg(rating) MAX ORDER BY host",
+      "SELECT id, price, rating FROM listings SKYLINE OF price MIN, "
+      "rating MIN ORDER BY price",
+      "SELECT id FROM listings SKYLINE OF price MIN, rating MIN "
+      "ORDER BY price LIMIT 3",
+      "SELECT id, price FROM listings SKYLINE OF price MIN, id MAX",
+      "SELECT l.price, l.rating, h.since FROM listings l "
+      "JOIN hosts h ON l.host = h.id SKYLINE OF l.price MIN, l.rating MAX",
+      "SELECT price, rating FROM listings AS o WHERE NOT EXISTS( SELECT * "
+      "FROM listings AS i WHERE i.price <= o.price AND i.rating >= o.rating "
+      "AND (i.price < o.price OR i.rating > o.rating))",
+  };
+  for (bool reference : {false, true}) {
+    OptimizerOptions opts;
+    opts.rewrite_skyline_to_reference = reference;
+    Optimizer optimizer(opts);
+    for (const auto& sql : shapes) {
+      SCOPED_TRACE(StrCat(sql, reference ? " (reference rewrite)" : ""));
+      const LogicalPlanPtr analyzed = Analyze(sql);
+
+      ::testing::internal::CaptureStderr();
+      auto optimized = optimizer.Optimize(analyzed);
+      const std::string log = ::testing::internal::GetCapturedStderr();
+      ASSERT_OK(optimized.status());
+      EXPECT_EQ(log.find("hit max iterations"), std::string::npos) << log;
+
+      LogicalPlanPtr rendered = analyzed;
+      for (const auto& batch : optimizer.batches()) {
+        for (int iter = 0; iter < batch.max_iterations; ++iter) {
+          const std::string before = rendered->TreeString();
+          for (const auto& rule : batch.rules) {
+            auto next = rule.apply(rendered);
+            ASSERT_OK(next.status());
+            rendered = *next;
+          }
+          if (rendered->TreeString() == before) break;
+        }
+      }
+      EXPECT_EQ(CanonicalTreeString(*optimized),
+                CanonicalTreeString(rendered));
+    }
+  }
 }
 
 }  // namespace
